@@ -14,6 +14,8 @@ let () =
       ("wave3", Test_wave3.suite);
       ("observe", Test_observe.suite);
       ("report-golden", Test_report_golden.suite);
+      ("sim-golden", Test_sim_golden.suite);
+      ("sim-errors", Test_sim_errors.suite);
       ("sched", Test_sched.suite);
       ("fault", Test_fault.suite);
       ("pipeline", Test_pipeline.suite);
