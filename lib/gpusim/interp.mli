@@ -49,13 +49,17 @@ type t = {
   mem : Mem.t;
   mutable trace : Rvalue.t list;  (** [__devrt_trace] output, newest first *)
   mutable kernel_stats : launch_stats list;  (** newest first *)
-  mutable cur_stats : launch_stats option;  (** head of [kernel_stats] *)
+  mutable stats : launch_stats;
+      (** head of [kernel_stats]; before the first launch a record no one
+          reads *)
   team_uid_gen : Support.Util.Id_gen.t;
   mutable fuel : int;
   injector : Fault.Injector.t;
+  armed : bool;  (** [injector] is not [Fault.Injector.none] *)
   mutable cur_team : team option;
   funcs : (string, Ir.Func.t) Hashtbl.t;  (** name -> function, built once *)
-  plans : (string, fplan) Hashtbl.t;  (** per-function execution plans *)
+  plans : (string, fplan) Hashtbl.t;
+      (** per-function execution plans, lowered on first entry *)
   mutable bid_gen : int;
 }
 

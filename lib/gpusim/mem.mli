@@ -31,6 +31,10 @@ type t = {
   mutable gdirty_heap : int;
   mutable cross_local_accesses : int;
   mutable cached_ranges : (int * int) list;
+  mutable shared_key : int;  (** team of [shared_hit]; [min_int] = empty *)
+  mutable shared_hit : arena;
+  mutable local_key : int;  (** thread of [local_hit]; [min_int] = empty *)
+  mutable local_hit : arena;
 }
 
 exception Out_of_memory of string
@@ -61,6 +65,28 @@ val layout_module : t -> Ir.Irmod.t -> unit
 
 val global_addr : t -> string -> team:int -> Rvalue.ptr
 val is_cached : t -> int -> bool
+
+val code_of_space : Rvalue.space -> int
+(** A pointer space as an immediate int: global 0, shared team [u] 4u+1,
+    local thread [o] 4o+2 (the host's -1 included). *)
+
+val space_of_code : int -> Rvalue.space
+
+val load_bytes : t -> current:int -> int -> Bytes.t
+(** The arena a load through a pointer of this space code reads (the
+    address is the offset).  Like {!read}, a cross-thread local pointer
+    reads the current thread's arena and is counted. *)
+
+val store_bytes : t -> current:int -> int -> int -> int -> Bytes.t
+(** [store_bytes t ~current code addr size]: the arena a store writes,
+    after recording the written span's high end as {!write} does. *)
+
+val check_bounds : Bytes.t -> int -> int -> string -> unit
+(** [check_bounds arena off size what] raises the out-of-bounds
+    [Sim_error] {!read} and {!write} raise. *)
+
+val in_ranges : int -> (int * int) list -> bool
+(** Whether the address falls in one of the half-open ranges. *)
 
 val read : t -> current:int -> Rvalue.ptr -> Ir.Types.t -> Rvalue.t
 val write : t -> current:int -> Rvalue.ptr -> Ir.Types.t -> Rvalue.t -> unit
