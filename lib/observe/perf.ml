@@ -12,7 +12,7 @@
    The collector is shared across pool domains: [record] runs the thunk
    unlocked (timing and Gc.minor_words are domain-local) and takes the
    mutex only to append, so profiling perturbs the measured batch by two
-   clock reads and one Gc.quick_stat per phase. *)
+   clock reads and two Gc.minor_words reads per phase. *)
 
 type sample = { stack : string list; seconds : float; words : float }
 
@@ -26,18 +26,18 @@ let add t sample =
   Mutex.unlock t.mutex
 
 let record t ~stack f =
-  let w0 = (Gc.quick_stat ()).Gc.minor_words in
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   match f () with
   | r ->
     let seconds = Unix.gettimeofday () -. t0 in
-    let words = (Gc.quick_stat ()).Gc.minor_words -. w0 in
+    let words = Gc.minor_words () -. w0 in
     add t { stack; seconds; words };
     r
   | exception e ->
     (* failed phases still cost time; attribute it before re-raising *)
     let seconds = Unix.gettimeofday () -. t0 in
-    let words = (Gc.quick_stat ()).Gc.minor_words -. w0 in
+    let words = Gc.minor_words () -. w0 in
     add t { stack; seconds; words };
     raise e
 
@@ -95,6 +95,8 @@ let by_leaf t =
         Hashtbl.add table leaf (seconds, words, 1))
     (samples t);
   List.rev_map (fun leaf -> (leaf, Hashtbl.find table leaf)) !order
+
+let totals = by_leaf
 
 let to_json t =
   Json.with_schema

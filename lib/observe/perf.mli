@@ -1,8 +1,10 @@
 (** Phase-level profiling: wall time and allocation words per semantic
     stack frame, exported as folded stacks (flamegraph input) and a
     schema-stamped per-phase summary.  The collector is safe to share
-    across pool domains; recording costs two clock reads and one
-    [Gc.quick_stat] per phase (see docs/PERF.md). *)
+    across pool domains; recording costs two clock reads and two
+    [Gc.minor_words] reads per phase (see docs/PERF.md).  Allocation is
+    counted on the recording domain only, so a phase's words do not
+    depend on what other domains run meanwhile. *)
 
 type t
 
@@ -18,6 +20,10 @@ val folded : value:[ `Time_us | `Alloc_words ] -> t -> string
     ["frame;frame COUNT\n"] line each — the folded-stacks text format
     flamegraph.pl and speedscope consume.  Counts are microseconds
     ([`Time_us]) or allocation words ([`Alloc_words]). *)
+
+val totals : t -> (string * (float * float * int)) list
+(** Per leaf frame (phase), in first-appearance order: total wall seconds,
+    minor-heap words and sample count. *)
 
 val to_json : t -> Json.t
 (** Schema-stamped per-phase totals (seconds, allocation words, sample

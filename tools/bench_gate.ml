@@ -1,7 +1,7 @@
 (* bench_gate: the CI benchmark-regression gate.
 
      bench_gate BASELINE.json NEW.json [--threshold PCT] [--min-speedup X]
-     bench_gate --perf PERF.json --min-speedup X
+     bench_gate --perf PERF.json --min-speedup X [--max-sim-alloc-mwords W]
 
    Compare mode: diffs two BENCH_observe.json files (the committed
    baseline vs a fresh run) and fails — exit 1 — when any per-app
@@ -23,11 +23,17 @@
    pool jobs — and gates its freshly measured sched.speedup against
    [--min-speedup].  This is the only place a fresh wall-clock ratio is
    gated, and it is the CI perf job's contract: parallel compilation of
-   the standard batch must beat sequential (docs/PERF.md). *)
+   the standard batch must beat sequential (docs/PERF.md).  With
+   [--max-sim-alloc-mwords], the minor-heap words the simulate layer
+   allocated over the instrumented batch (perf.json
+   layers.simulate.minor_words, in millions) must not exceed the bound:
+   a deterministic counter of the simulator's inner loop, so it ratchets
+   like the cost-model counters do. *)
 
 let threshold = ref 20.0
 let min_speedup : float option ref = ref None
 let perf_path : string option ref = ref None
+let max_sim_alloc : float option ref = ref None
 
 let die fmt = Fmt.kstr (fun s -> prerr_endline ("bench_gate: " ^ s); exit 2) fmt
 
@@ -201,6 +207,31 @@ let gate_speedup path speedup =
       exit 1
     end
 
+let gate_sim_alloc path j =
+  match !max_sim_alloc with
+  | None -> ()
+  | Some bound -> (
+    let words =
+      Option.bind (Observe.Json.member "layers" j) (fun l ->
+          Option.bind (Observe.Json.member "simulate" l) (fun s ->
+              match Observe.Json.member "minor_words" s with
+              | Some (Observe.Json.Float f) -> Some f
+              | Some (Observe.Json.Int n) -> Some (float_of_int n)
+              | _ -> None))
+    in
+    match words with
+    | None -> die "%s: no layers.simulate.minor_words (regenerate with `make perf`)" path
+    | Some w ->
+      let mw = w /. 1e6 in
+      if mw <= bound then
+        Fmt.pr "bench_gate: %s simulate allocated %.2fM words <= %.2fM OK@." path mw bound
+      else begin
+        Fmt.pr "bench_gate: %s simulate allocated %.2fM words > %.2fM — the simulator \
+                allocates more than the ratchet allows@."
+          path mw bound;
+        exit 1
+      end)
+
 let measurements j =
   match Option.bind (Observe.Json.member "measurements" j) Observe.Json.to_list with
   | Some ms -> ms
@@ -246,6 +277,12 @@ let () =
         min_speedup := Some t;
         parse rest
       | _ -> die "--min-speedup expects a positive number")
+    | "--max-sim-alloc-mwords" :: v :: rest -> (
+      match float_of_string_opt v with
+      | Some w when w > 0.0 ->
+        max_sim_alloc := Some w;
+        parse rest
+      | _ -> die "--max-sim-alloc-mwords expects a positive number")
     | "--perf" :: p :: rest ->
       perf_path := Some p;
       parse rest
@@ -263,9 +300,11 @@ let () =
     let speedup = require_sched path j in
     (if !min_speedup = None then min_speedup := Some 1.0);
     gate_speedup path speedup;
+    gate_sim_alloc path j;
     Fmt.pr "bench_gate: %s OK@." path;
     exit 0
   | None -> ());
+  if !max_sim_alloc <> None then die "--max-sim-alloc-mwords applies to --perf only";
   let baseline_path, new_path =
     match List.rev !positional with
     | [ b; n ] -> (b, n)
@@ -273,7 +312,8 @@ let () =
       prerr_endline
         "usage: bench_gate BASELINE.json NEW.json [--threshold PCT] \
          [--min-speedup X]\n\
-        \       bench_gate --perf PERF.json [--min-speedup X]";
+        \       bench_gate --perf PERF.json [--min-speedup X] \
+         [--max-sim-alloc-mwords W]";
       exit 2
   in
   let base_json = load baseline_path in

@@ -8,8 +8,10 @@
    each side keeping its best run, the same protocol bench/main.exe uses —
    then once more in parallel with the phase profiler attached, and writes:
 
-     OUTDIR/perf.json      schema-stamped: sched section (speedup, pool
-                           counters), per-phase totals, arena-recycling
+     OUTDIR/perf.json      schema-stamped: the host's core count
+                           (nproc), sched section (speedup, pool
+                           counters), per-layer seconds and minor words
+                           (layers), per-phase totals, arena-recycling
                            stats — what the CI perf job gates with
                            `bench_gate --perf`
      OUTDIR/flame.folded   folded stacks, counts = microseconds; feed to
@@ -62,6 +64,26 @@ let labels ms =
     (fun (m : Harness.Runner.measurement) ->
       (m.Harness.Runner.app, m.Harness.Runner.config.Harness.Config.label))
     ms
+
+(* The four layers of a job, each with its wall seconds and minor-heap
+   words summed over the instrumented batch (zero when a layer never ran). *)
+let layers_json perf =
+  let totals = Observe.Perf.totals perf in
+  Observe.Json.Obj
+    (List.map
+       (fun phase ->
+         let seconds, words =
+           match List.assoc_opt phase totals with
+           | Some (s, w, _) -> (s, w)
+           | None -> (0.0, 0.0)
+         in
+         ( phase,
+           Observe.Json.Obj
+             [
+               ("seconds", Observe.Json.Float seconds);
+               ("minor_words", Observe.Json.Float words);
+             ] ))
+       [ "frontend"; "optimize"; "verify"; "simulate" ])
 
 let write_file path contents =
   Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc contents)
@@ -135,7 +157,9 @@ let () =
                (match scale with
                | Proxyapps.App.Tiny -> "fig10/tiny"
                | Proxyapps.App.Bench -> "fig10/bench") );
+           ("nproc", Observe.Json.Int (Domain.recommended_domain_count ()));
            ("sched", sched);
+           ("layers", layers_json perf);
            ("profile", Observe.Perf.to_json perf);
            ( "scratch",
              Observe.Json.Obj
@@ -162,6 +186,10 @@ let () =
     active pool_stats.Sched.Pool.submitted pool_stats.Sched.Pool.executed
     pool_stats.Sched.Pool.stolen pool_stats.Sched.Pool.waits
     pool_stats.Sched.Pool.boosts;
+  List.iter
+    (fun (phase, (seconds, words, _)) ->
+      Printf.printf "  %-9s %.3fs %.1fM minor words\n" phase seconds (words /. 1e6))
+    (Observe.Perf.totals perf);
   Printf.printf "  scratch: reused %dMB fresh %dMB zeroed %dKB\n"
     (reused / 1_000_000) (fresh / 1_000_000) (zeroed / 1_000);
   Printf.printf "  wrote %s/perf.json, flame.folded, alloc.folded\n%!" outdir
