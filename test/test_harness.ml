@@ -76,6 +76,121 @@ let test_tables_render () =
   Alcotest.(check bool) "fig11 has the baseline row" true (contains fig11 "LLVM 12");
   Alcotest.(check bool) "fig11 reports no mismatches" false (contains fig11 "MISMATCH")
 
+(* The Figure-9/10/11 numbers come from Harness.Runner, while mompc, mompd
+   and the conformance matrix compile through Ompgpu_api.  Both must
+   describe the same execution: for every Figure-10 job, the façade's
+   simulator lines repeat the runner's kernel cycles, per-launch
+   instruction counts and traced result. *)
+let facade_config (app : Proxyapps.App.t) (config : Harness.Config.t) =
+  let omp = app.Proxyapps.App.omp_source scale in
+  let base = Ompgpu_api.Config.(with_sim { default with emit_ir = false }) in
+  let on scheme = Ompgpu_api.Config.with_scheme scheme base in
+  match config.Harness.Config.build with
+  | Harness.Config.Llvm12 -> (on Frontend.Codegen.Legacy, omp)
+  | Harness.Config.Dev_noopt -> (on Frontend.Codegen.Simplified, omp)
+  | Harness.Config.Dev options ->
+    ( Ompgpu_api.Config.with_pipeline
+        (Openmpopt.Pass_manager.Pipeline.of_options options)
+        (on Frontend.Codegen.Simplified),
+      omp )
+  | Harness.Config.Cuda ->
+    (on Frontend.Codegen.Cuda, app.Proxyapps.App.cuda_source scale)
+
+(* The façade's "; kernel cycles: N", per-launch "instrs=N" and
+   "; trace: v ..." lines. *)
+let facade_sim_lines (c : Ompgpu_api.compiled) =
+  let lines = String.split_on_char '\n' c.Ompgpu_api.output in
+  let after prefix l =
+    if String.starts_with ~prefix l then
+      Some (String.sub l (String.length prefix) (String.length l - String.length prefix))
+    else None
+  in
+  let cycles = List.find_map (fun l -> Option.map int_of_string (after "; kernel cycles: " l)) lines in
+  let instrs =
+    List.concat_map
+      (fun l ->
+        List.filter_map
+          (fun w -> Option.map int_of_string (after "instrs=" w))
+          (String.split_on_char ' ' l))
+      lines
+  in
+  let trace = List.find_map (after "; trace:") lines in
+  (cycles, instrs, trace)
+
+let test_runner_agrees_with_facade () =
+  let machine = Gpusim.Machine.bench_machine in
+  List.iter
+    (fun (app : Proxyapps.App.t) ->
+      List.iter
+        (fun (config : Harness.Config.t) ->
+          let what = app.Proxyapps.App.name ^ "/" ^ config.Harness.Config.label in
+          let m = Harness.Runner.run ~machine ~scale app config in
+          let fconfig, src = facade_config app config in
+          let c = Ompgpu_api.compile_buffered ~config:fconfig ~file:(app.Proxyapps.App.name ^ ".c") src in
+          match m.Harness.Runner.outcome with
+          | Harness.Runner.Err e -> Alcotest.failf "%s: runner failed: %s" what (Fault.Ompgpu_error.to_string e)
+          | Harness.Runner.Ok x ->
+            Alcotest.(check int) (what ^ ": façade exit code") 0 c.Ompgpu_api.exit_code;
+            let cycles, instrs, trace = facade_sim_lines c in
+            Alcotest.(check (option int)) (what ^ ": kernel cycles") (Some x.Harness.Runner.cycles) cycles;
+            Alcotest.(check (list int))
+              (what ^ ": per-launch instructions")
+              (List.map (fun (s : Gpusim.Interp.launch_stats) -> s.Gpusim.Interp.instructions)
+                 x.Harness.Runner.kernel_stats)
+              (* the façade prints the newest launch first *)
+              (List.rev instrs);
+            (* the façade prints the value with %g: six significant digits *)
+            let traced =
+              match Option.map (fun t -> List.filter (( <> ) "") (String.split_on_char ' ' t)) trace with
+              | Some [ v ] when String.length v > 2 -> Float.of_string_opt (String.sub v 2 (String.length v - 2))
+              | _ -> None
+            in
+            match (x.Harness.Runner.checksum, traced) with
+            | Some a, Some b when Float.abs (a -. b) <= 1e-5 *. (1.0 +. Float.abs a) -> ()
+            | a, b ->
+              Alcotest.failf "%s: traced value %a, façade %a" what
+                Fmt.(option float) a Fmt.(option float) b)
+        (Harness.Config.fig10_configs app.Proxyapps.App.name))
+    Proxyapps.Apps.all
+
+(* A failure reaches the runner with the kind and phase the façade reports,
+   cached or not: a front-end (parse) failure and an optimization failure
+   (an injected pass crash). *)
+let test_runner_failure_phases () =
+  let machine = Gpusim.Machine.bench_machine in
+  let app = Proxyapps.Apps.find_exn "xsbench" in
+  let broken = { app with Proxyapps.App.name = "broken"; omp_source = (fun _ -> "int main( {") } in
+  let crash = Fault.Injector.{ site = Pass_crash; rate = 1.0; seed = 0 } in
+  let cases =
+    [
+      ("parse", broken, Harness.Config.dev0, Ompgpu_api.Config.(with_pipeline Ompgpu_api.Pipeline.full default), "int main( {");
+      ( "pass crash",
+        app,
+        Harness.Config.with_inject [ crash ] Harness.Config.dev0,
+        Ompgpu_api.Config.(with_inject [ crash ] (with_pipeline Ompgpu_api.Pipeline.full default)),
+        app.Proxyapps.App.omp_source scale );
+    ]
+  in
+  List.iter
+    (fun (what, app, config, fconfig, src) ->
+      let c = Ompgpu_api.compile_buffered ~config:fconfig ~file:(app.Proxyapps.App.name ^ ".c") src in
+      let expected =
+        match c.Ompgpu_api.error with
+        | Some e -> (Fault.Ompgpu_error.kind_name e.kind, Fault.Ompgpu_error.phase_name e.phase)
+        | None -> Alcotest.failf "%s: the façade did not fail" what
+      in
+      List.iter
+        (fun (how, cache) ->
+          match (Harness.Runner.run ~machine ~scale ?cache app config).Harness.Runner.outcome with
+          | Harness.Runner.Err e ->
+            Alcotest.(check (pair string string))
+              (Printf.sprintf "%s (%s): kind and phase" what how)
+              expected
+              (Fault.Ompgpu_error.kind_name e.kind, Fault.Ompgpu_error.phase_name e.phase)
+          | Harness.Runner.Ok _ -> Alcotest.failf "%s (%s): the runner did not fail" what how)
+        [ ("uncached", None); ("cached", Some (Sched.Cache.create ())) ])
+    cases
+
 let suite =
   [
     Alcotest.test_case "config sets" `Quick test_config_sets;
@@ -83,4 +198,6 @@ let suite =
     Alcotest.test_case "su3 shape" `Slow test_su3_shape;
     Alcotest.test_case "miniqmc ordering" `Slow test_miniqmc_ordering;
     Alcotest.test_case "tables render" `Slow test_tables_render;
+    Alcotest.test_case "runner agrees with the facade" `Quick test_runner_agrees_with_facade;
+    Alcotest.test_case "runner failure phases match the facade" `Quick test_runner_failure_phases;
   ]
