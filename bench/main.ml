@@ -107,9 +107,9 @@ let tables () =
 (* ------------------------------------------------------------------ *)
 
 (* The batch is every Figure-10 cell at tiny scale — the same workload
-   run_experiments parallelizes.  Wall clock must be Unix.gettimeofday:
-   Sys.time is process CPU time, which *sums* across domains and would
-   report a slowdown for any parallel run.  Speedup is whatever this host
+   run_experiments parallelizes.  Times come from Observe.Perf's wall-clock
+   sampler: Sys.time is process CPU time, which *sums* across domains and
+   would report a slowdown for any parallel run.  Speedup is whatever this host
    measures (a single-core machine legitimately reports ~1x); the cache
    hit rates are machine-independent. *)
 let sched_domains = 4
@@ -123,37 +123,24 @@ let sched_bench () =
           (Harness.Config.fig10_configs app.Proxyapps.App.name))
       Proxyapps.Apps.all
   in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* Symmetric min-of-2: each side keeps its best of two runs, so one
+  (* Symmetric best-of-2: each side keeps its best of two runs, so one
      scheduler hiccup (a GC pause, a noisy-neighbour slice) on either side
      does not decide the ratio the CI perf gate enforces. *)
-  let min2 f =
-    let r, a = timed f in
-    let _, b = timed f in
-    (r, Float.min a b)
-  in
   let seq, seq_s =
-    min2 (fun () -> Harness.Runner.run_batch ~machine ~scale:tiny jobs)
+    Observe.Perf.best_of 2 (fun () -> Harness.Runner.run_batch ~machine ~scale:tiny jobs)
   in
-  let cold_par () =
-    let cache : Harness.Runner.outcome Sched.Cache.t = Sched.Cache.create () in
-    timed (fun () ->
+  let (par, pool_stats, active, cache), par_s =
+    Observe.Perf.best_of 2 (fun () ->
+        let cache : Harness.Runner.outcome Sched.Cache.t = Sched.Cache.create () in
         Sched.Pool.with_pool ~domains:sched_domains (fun pool ->
             let r = Harness.Runner.run_batch ~machine ~scale:tiny ~pool ~cache jobs in
             (r, Sched.Pool.stats pool, Sched.Pool.active_limit pool, cache)))
   in
-  let (par, pool_stats, active, cache), par_a = cold_par () in
-  let _, par_b = cold_par () in
-  let par_s = Float.min par_a par_b in
   let cold_hits = Sched.Cache.hits cache in
   let cold_misses = Sched.Cache.misses cache in
   Sched.Cache.reset_counters cache;
-  let warm, warm_s =
-    timed (fun () ->
+  let warm, warm_s, _ =
+    Observe.Perf.sample (fun () ->
         Sched.Pool.with_pool ~domains:sched_domains (fun pool ->
             Harness.Runner.run_batch ~machine ~scale:tiny ~pool ~cache jobs))
   in
@@ -226,24 +213,21 @@ let service_bench () =
   let source =
     (Proxyapps.Apps.find_exn "xsbench").Proxyapps.App.omp_source tiny
   in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let request c () =
     match Service.Client.compile c ~file ~config source with
     | Ok r -> r
     | Error e -> Fmt.failwith "service bench: %s" (Fault.Ompgpu_error.to_string e)
   in
-  let oneshot, oneshot_s =
-    timed (fun () -> Ompgpu_api.compile_buffered ~config ~file source)
+  let oneshot, oneshot_s, _ =
+    Observe.Perf.sample (fun () -> Ompgpu_api.compile_buffered ~config ~file source)
   in
   let (cold, cold_s), (warm, warm_avg_s) =
     Service.Client.with_connection ~socket_path (fun c ->
-        let cold = timed (request c) in
+        let cold, cold_s, _ = Observe.Perf.sample (request c) in
         let reps = 20 in
-        let warms, warm_total = timed (fun () -> List.init reps (fun _ -> request c ())) in
+        let warms, warm_total, _ =
+          Observe.Perf.sample (fun () -> List.init reps (fun _ -> request c ()))
+        in
         let () =
           match Service.Client.shutdown c () with
           | Ok () -> ()
@@ -251,7 +235,7 @@ let service_bench () =
             Fmt.failwith "service bench: shutdown: %s"
               (Fault.Ompgpu_error.to_string e)
         in
-        (cold, (List.hd warms, warm_total /. float_of_int reps)))
+        ((cold, cold_s), (List.hd warms, warm_total /. float_of_int reps)))
   in
   Thread.join server_thread;
   let identical r =
@@ -417,20 +401,21 @@ let storage_bench () =
   let small_cap = 1024 in
   let small = Sched.Cache.create ~max_bytes:small_cap ~size_of:String.length () in
   let identical = ref true in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to 2 do
-    List.iter
-      (fun (app, source, (reference : Ompgpu_api.compiled)) ->
-        let key = Ompgpu_api.cache_key ~file:(app ^ ".momp") ~config ~source in
-        let out =
-          Sched.Cache.find_or_compute small ~key (fun () ->
-              (Ompgpu_api.compile_buffered ~config ~file:(app ^ ".momp") source)
-                .Ompgpu_api.output)
-        in
-        if not (String.equal out reference.Ompgpu_api.output) then identical := false)
-      reference
-  done;
-  let pressured_s = Unix.gettimeofday () -. t0 in
+  let (), pressured_s, _ =
+    Observe.Perf.sample (fun () ->
+        for _ = 1 to 2 do
+          List.iter
+            (fun (app, source, (reference : Ompgpu_api.compiled)) ->
+              let key = Ompgpu_api.cache_key ~file:(app ^ ".momp") ~config ~source in
+              let out =
+                Sched.Cache.find_or_compute small ~key (fun () ->
+                    (Ompgpu_api.compile_buffered ~config ~file:(app ^ ".momp") source)
+                      .Ompgpu_api.output)
+              in
+              if not (String.equal out reference.Ompgpu_api.output) then identical := false)
+            reference
+        done)
+  in
   (* ample cap: the same two rounds must hit everything the second time *)
   let ample = Sched.Cache.create ~max_bytes:(16 * 1024 * 1024) ~size_of:String.length () in
   let warm_pass () =

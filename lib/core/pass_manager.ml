@@ -411,9 +411,7 @@ let run_pipeline ?(pipeline = Pipeline.full) ?(injector = Fault.Injector.none) ?
       let before = Observe.Trace.snapshot m in
       let c0 = counters_of_report !report in
       let remarks0 = List.length (Remark.all sink) in
-      let t0 = Sys.time () in
-      f ();
-      let time_s = Sys.time () -. t0 in
+      let (), time_s, _ = Observe.Perf.sample f in
       let after = Observe.Trace.snapshot m in
       let counters =
         List.map2

@@ -6,6 +6,19 @@
     counted on the recording domain only, so a phase's words do not
     depend on what other domains run meanwhile. *)
 
+val sample : (unit -> 'a) -> 'a * float * float
+(** [sample f] runs [f] and returns its result, the wall seconds it took
+    and the minor-heap words it allocated on the calling domain.  This is
+    the one sampler every timing in the stack uses ([record], the pass
+    manager's per-pass [time_s], the bench drivers): wall time, never
+    [Sys.time], which is CPU time summed over all domains.  A raising [f]
+    propagates its exception unsampled. *)
+
+val best_of : int -> (unit -> 'a) -> 'a * float
+(** [best_of n f] runs [f] [n] times (at least once) and returns the first
+    run's result with the fastest run's wall seconds, so one scheduler
+    hiccup does not decide a timed comparison. *)
+
 type t
 
 val create : unit -> t

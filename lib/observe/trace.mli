@@ -33,7 +33,9 @@ type event = {
   seq : int;  (** position in the trace, starting at 0 *)
   round : int;  (** pipeline round; 0 = before the round loop *)
   pass : string;
-  time_s : float;  (** processor time spent in the pass *)
+  time_s : float;
+      (** wall time spent in the pass ([Perf.sample]'s clock); the pass
+          runs on one domain, so other domains' work never adds to it *)
   delta : ir_stats;  (** module-level change (after minus before) *)
   per_func : (string * ir_stats) list;
       (** nonzero per-function deltas; a function created (resp. deleted)

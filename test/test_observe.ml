@@ -115,6 +115,30 @@ let test_event_ordering () =
   | first :: _ -> Alcotest.(check string) "internalization runs first" "internalize" first.pass
   | [] -> Alcotest.fail "no events"
 
+(* Pass times are wall time on the domain running the pipeline: while a
+   second domain spins, the events' times still sum to at most the wall
+   time around the whole call.  (Process CPU time would count the spinner
+   too and read about twice that on a host with two or more cores.) *)
+let test_pass_times_are_wall_time () =
+  let m =
+    Frontend.Codegen.compile ~file:"miniqmc.c"
+      ((Proxyapps.Apps.find_exn "miniqmc").Proxyapps.App.omp_source Proxyapps.App.Bench)
+  in
+  let tr = T.create () in
+  let stop = Atomic.make false in
+  let spinner = Domain.spawn (fun () -> while not (Atomic.get stop) do Domain.cpu_relax () done) in
+  let (), wall_s, _ =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join spinner)
+      (fun () -> Observe.Perf.sample (fun () -> ignore (Openmpopt.Pass_manager.run_pipeline ~trace:tr m)))
+  in
+  let passes_s = List.fold_left (fun acc (e : T.event) -> acc +. e.time_s) 0.0 (T.events tr) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Σ pass time %.6fs <= wall time %.6fs" passes_s wall_s)
+    true (passes_s <= wall_s)
+
 let test_delta_arithmetic () =
   (* the sum of per-pass module deltas must equal the end-to-end change *)
   let m = Helpers.compile spmd_src in
@@ -301,6 +325,7 @@ let suite =
     Alcotest.test_case "json int/float identity" `Quick test_json_number_identity;
     Alcotest.test_case "event ordering" `Quick test_event_ordering;
     Alcotest.test_case "delta arithmetic" `Quick test_delta_arithmetic;
+    Alcotest.test_case "pass times are wall time" `Quick test_pass_times_are_wall_time;
     Alcotest.test_case "ir_stats operations" `Quick test_ir_stats_ops;
     Alcotest.test_case "event json round-trip" `Quick test_event_json_roundtrip;
     Alcotest.test_case "atomic counts" `Quick test_atomic_counts;

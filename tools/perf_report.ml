@@ -49,16 +49,6 @@ let jobs =
         (Harness.Config.fig10_configs app.Proxyapps.App.name))
     Proxyapps.Apps.all
 
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let min2 f =
-  let r, a = timed f in
-  let _, b = timed f in
-  (r, Float.min a b)
-
 let labels ms =
   List.map
     (fun (m : Harness.Runner.measurement) ->
@@ -103,17 +93,16 @@ let () =
     (match scale with Proxyapps.App.Tiny -> "tiny" | Proxyapps.App.Bench -> "bench")
     outdir;
   (* timed comparison, uninstrumented: the numbers the gate reads *)
-  let seq, seq_s = min2 (fun () -> Harness.Runner.run_batch ~machine ~scale jobs) in
-  let cold_par () =
-    timed (fun () ->
+  let seq, seq_s =
+    Observe.Perf.best_of 2 (fun () -> Harness.Runner.run_batch ~machine ~scale jobs)
+  in
+  let (par, pool_stats, active), par_s =
+    Observe.Perf.best_of 2 (fun () ->
         Sched.Pool.with_pool ~domains (fun pool ->
             let cache : Harness.Runner.outcome Sched.Cache.t = Sched.Cache.create () in
             let r = Harness.Runner.run_batch ~machine ~scale ~pool ~cache jobs in
             (r, Sched.Pool.stats pool, Sched.Pool.active_limit pool)))
   in
-  let (par, pool_stats, active), par_a = cold_par () in
-  let _, par_b = cold_par () in
-  let par_s = Float.min par_a par_b in
   assert (labels seq = labels par);
   let speedup = if par_s > 0.0 then seq_s /. par_s else 1.0 in
   (* instrumented run: phase attribution for the flamegraph and the
