@@ -208,7 +208,7 @@ let service_bench () =
     Service.Server.create { Service.Server.default_config with socket_path }
   in
   let server_thread = Thread.create Service.Server.serve_forever server in
-  let config = Ompgpu_api.Config.(default |> optimized |> with_sim) in
+  let config = Ompgpu_api.Config.(default |> with_pipeline Ompgpu_api.Pipeline.full |> with_sim) in
   let file = "xsbench.momp" in
   let source =
     (Proxyapps.Apps.find_exn "xsbench").Proxyapps.App.omp_source tiny

@@ -66,27 +66,27 @@ let run_compile files scheme pipeline_spec optimize no_spmd no_deglob no_csm
      compares two same-seed runs — and backtraces are not. *)
   let backtraces = backtrace || Sys.getenv_opt "OMPGPU_BACKTRACE" = Some "1" in
   if backtraces then Printexc.record_backtrace true;
-  let options =
-    if optimize then
-      Some
-        {
-          Openmpopt.Pass_manager.default_options with
-          disable_spmdization = no_spmd;
-          disable_deglobalization = no_deglob;
-          disable_state_machine_rewrite = no_csm;
-          disable_folding = no_fold;
-          disable_guard_grouping = no_group;
-        }
-    else None
-  in
   (* A malformed --pipeline spec is a client error of the same class the
      daemon rejects with Bad_request, so the one-shot driver settles it
-     under the same taxonomy exit code. *)
+     under the same taxonomy exit code.  -O and its toggles map onto the
+     equivalent pipeline. *)
   let pipeline =
     match pipeline_spec with
+    | None when optimize ->
+      Ok
+        (Some
+           (A.Pipeline.of_options
+              {
+                A.Options.default_options with
+                disable_spmdization = no_spmd;
+                disable_deglobalization = no_deglob;
+                disable_state_machine_rewrite = no_csm;
+                disable_folding = no_fold;
+                disable_guard_grouping = no_group;
+              }))
     | None -> Ok None
     | Some spec -> (
-      if options <> None then
+      if optimize then
         Error
           "may not be combined with -O/--openmp-opt or the \
            openmp-opt-disable-* toggles"
@@ -114,7 +114,6 @@ let run_compile files scheme pipeline_spec optimize no_spmd no_deglob no_csm
       let config =
         {
           A.Config.scheme;
-          options;
           pipeline;
           emit_ir;
           run_sim;

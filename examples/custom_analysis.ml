@@ -103,7 +103,7 @@ let () =
       | _ -> ());
 
   Fmt.pr "@.== after the OpenMPOpt pipeline ==@.";
-  let report = Openmpopt.Pass_manager.run m in
+  let report = Openmpopt.Pass_manager.run_pipeline m in
   Fmt.pr "  %a@." Openmpopt.Pass_manager.pp_report report;
   (match Verify.check m with Ok () -> () | Error e -> failwith e);
   Fmt.pr "@.%a@." Printer.pp_func (Irmod.find_func_exn m "device_function")

@@ -66,7 +66,7 @@ int main() {
 let show title src =
   Fmt.pr "== %s ==@." title;
   let m = Frontend.Codegen.compile ~file:"demo.c" src in
-  let report = Openmpopt.Pass_manager.run m in
+  let report = Openmpopt.Pass_manager.run_pipeline m in
   Fmt.pr "  heap-to-stack: %d, heap-to-shared: %d@."
     report.Openmpopt.Pass_manager.heap_to_stack
     report.Openmpopt.Pass_manager.heap_to_shared;

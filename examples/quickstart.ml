@@ -53,7 +53,7 @@ let () =
   let base = run_and_report "unoptimized" unoptimized in
   (* 2. the same program through the OpenMPOpt pipeline *)
   let optimized = Frontend.Codegen.compile ~file:"figure1.c" figure1 in
-  let report = Openmpopt.Pass_manager.run optimized in
+  let report = Openmpopt.Pass_manager.run_pipeline optimized in
   Fmt.pr "@.optimizer: %a@.@." Openmpopt.Pass_manager.pp_report report;
   let opt = run_and_report "optimized" optimized in
   Fmt.pr "@.speedup from OpenMP-aware optimization: %.2fx@."

@@ -36,7 +36,7 @@ int main() {
 let compile_and_report title src =
   Fmt.pr "== %s ==@." title;
   let m = Frontend.Codegen.compile ~file:"example.c" src in
-  let report = Openmpopt.Pass_manager.run m in
+  let report = Openmpopt.Pass_manager.run_pipeline m in
   List.iter
     (fun r -> Fmt.pr "%s@." (Openmpopt.Remark.to_string r))
     report.Openmpopt.Pass_manager.remarks;

@@ -34,7 +34,8 @@ int main() {
 
 let build label options =
   let m = Frontend.Codegen.compile ~file:"figure7.c" figure7 in
-  let report = Openmpopt.Pass_manager.run ~options m in
+  let pipeline = Openmpopt.Pass_manager.Pipeline.of_options options in
+  let report = Openmpopt.Pass_manager.run_pipeline ~pipeline m in
   (match Ir.Verify.check m with Ok () -> () | Error e -> failwith e);
   let sim = Gpusim.Interp.create Gpusim.Machine.test_machine m in
   Gpusim.Interp.run_host sim;

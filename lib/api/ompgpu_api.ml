@@ -5,7 +5,7 @@
    (mompd), and embedders all run the exact same code — byte-identical
    output is a correctness property the test suite pins. *)
 
-let api_version = 2
+let api_version = 3
 let schema_version = Observe.Json.schema_version
 let with_schema = Observe.Json.with_schema
 
@@ -30,7 +30,6 @@ module Pipeline = Openmpopt.Pass_manager.Pipeline
 module Config = struct
   type t = {
     scheme : Frontend.Codegen.scheme;
-    options : Openmpopt.Pass_manager.options option;
     pipeline : Pipeline.t option;
     emit_ir : bool;
     run_sim : bool;
@@ -46,7 +45,6 @@ module Config = struct
   let default =
     {
       scheme = Frontend.Codegen.Simplified;
-      options = None;
       pipeline = None;
       emit_ir = true;
       run_sim = false;
@@ -60,21 +58,8 @@ module Config = struct
     }
 
   let with_scheme scheme t = { t with scheme }
-
-  (* deprecated (api_version 2): the PR-4 toggle surface; prefer
-     [with_pipeline].  [pipeline] wins when both are set. *)
-  let optimized ?(options = Openmpopt.Pass_manager.default_options) t =
-    { t with options = Some options }
-
   let with_pipeline pipeline t = { t with pipeline = Some pipeline }
-
-  (* The pipeline this config actually runs: an explicit [pipeline] wins,
-     a bare deprecated [options] is mapped via [Pipeline.of_options]
-     (byte-identical by construction), [None] means O0. *)
-  let pipeline_of t =
-    match t.pipeline with
-    | Some p -> Some p
-    | None -> Option.map Openmpopt.Pass_manager.Pipeline.of_options t.options
+  let pipeline_of t = t.pipeline
 
   let with_sim t = { t with run_sim = true }
   let with_stats t = { t with want_stats = true }
@@ -88,20 +73,11 @@ module Config = struct
      (a stats payload, trace lines in diagnostics); [retries]/[backoff_s]
      do not — only successful results are ever cached, and a success's
      bytes do not depend on how many failed attempts preceded it.  The
-     injector fingerprint keeps injected and clean compiles apart.
-
-     Optimization identity goes through the *effective pipeline*
-     ([pipeline_of]), so a deprecated [optimized] config and an equivalent
-     [with_pipeline] config share cache entries — they run the same pass
-     sequence and produce the same bytes. *)
+     injector fingerprint keeps injected and clean compiles apart. *)
   let fingerprint t =
-    String.concat ";"
+    Harness.Attempt.fingerprint ~scheme:t.scheme ~pipeline:t.pipeline
+      ~inject:(Fault.Injector.fingerprint (Fault.Injector.create t.inject))
       [
-        Frontend.Codegen.scheme_name t.scheme;
-        (match pipeline_of t with
-        | None -> "noopt"
-        | Some p -> Openmpopt.Pass_manager.Pipeline.fingerprint p);
-        Fault.Injector.fingerprint (Fault.Injector.create t.inject);
         Printf.sprintf "emit=%b;sim=%b;remarks-only=%b;stats=%b;trace=%b"
           t.emit_ir t.run_sim t.remarks_only t.want_stats t.print_trace;
       ]
@@ -119,15 +95,15 @@ type compiled = {
   stats : Observe.Json.t option;
 }
 
-(* One attempt: lower, verify, optimize, simulate, collect stats — all
-   output buffered, every failure settled into a structured error. *)
+(* One attempt (Harness.Attempt) rendered to buffers: remarks, the pipeline
+   report and the trace on stderr, the IR and the simulator lines on
+   stdout, every failure settled into a structured error. *)
 let compile_attempt ~(config : Config.t) ~injector ~file src : compiled =
   let out_buf = Buffer.create 1024 in
   let err_buf = Buffer.create 1024 in
   let out = Format.formatter_of_buffer out_buf in
   let err = Format.formatter_of_buffer err_buf in
-  let stats = ref None in
-  let finish code error =
+  let finish code error stats =
     Format.pp_print_flush out ();
     Format.pp_print_flush err ();
     {
@@ -135,125 +111,98 @@ let compile_attempt ~(config : Config.t) ~injector ~file src : compiled =
       output = Buffer.contents out_buf;
       diagnostics = Buffer.contents err_buf;
       error;
-      stats = !stats;
+      stats;
     }
   in
-  (* Every failure exits through here: one stable diagnostic line, the
-     taxonomy's exit code, and (opt-in) the captured backtrace. *)
-  let fail (e : Error.t) =
+  (* the trace feeds both --trace (human-readable) and the stats payload *)
+  let trace =
+    if config.Config.print_trace || config.Config.want_stats then
+      Some (Observe.Trace.create ())
+    else None
+  in
+  let result =
+    Harness.Attempt.run ~file ~scheme:config.Config.scheme
+      ?pipeline:config.Config.pipeline ~machine:Gpusim.Machine.bench_machine ~injector
+      ~simulate:config.Config.run_sim ?trace src
+  in
+  let m, report =
+    match result with
+    | Ok r -> (Some r.Harness.Attempt.m, r.Harness.Attempt.report)
+    | Error f -> (f.Harness.Attempt.m, f.Harness.Attempt.report)
+  in
+  Option.iter
+    (fun report ->
+      List.iter
+        (fun r -> Fmt.pf err "%s@." (Openmpopt.Remark.to_string r))
+        report.Openmpopt.Pass_manager.remarks;
+      Fmt.pf err "openmp-opt: %a@." Openmpopt.Pass_manager.pp_report report;
+      if config.Config.print_trace then
+        Option.iter
+          (fun tr ->
+            Fmt.pf err "openmp-opt trace:@.";
+            List.iter
+              (fun e -> Fmt.pf err "  %a@." Observe.Trace.pp_event e)
+              (Observe.Trace.events tr))
+          trace)
+    report;
+  if config.Config.emit_ir && not config.Config.remarks_only then
+    Option.iter (Fmt.pf out "%a" Ir.Printer.pp_module) m;
+  match result with
+  | Error { Harness.Attempt.error = e; _ } ->
+    (* Every failure exits through here: one stable diagnostic line, the
+       taxonomy's exit code, and (opt-in) the captured backtrace. *)
     Fmt.pf err "%s: %s@." file (Error.to_string e);
     (if config.Config.backtraces then
        match e.Error.backtrace with
        | Some bt -> Fmt.pf err "%s@." (String.trim bt)
        | None -> ());
-    finish (Error.exit_code e) (Some e)
-  in
-  let classify ~phase e =
-    Harness.Errors.classify ~phase e (Printexc.get_raw_backtrace ())
-  in
-  match Frontend.Codegen.compile ~scheme:config.Config.scheme ~file src with
-  | exception e -> fail (classify ~phase:Error.Lowering e)
-  | m -> (
-    match Ir.Verify.check m with
-    | Result.Error msg ->
-      fail (Error.make Error.Verify ~phase:Error.Verifying ("front end: " ^ msg))
-    | Result.Ok () -> (
-      (* the trace feeds both --trace (human-readable) and the stats payload *)
-      let trace =
-        if config.Config.print_trace || config.Config.want_stats then
-          Some (Observe.Trace.create ())
-        else None
-      in
-      let opt_report = ref None in
-      let opt_error = ref None in
-      (match Config.pipeline_of config with
-      | None -> ()
-      | Some pipeline -> (
-        match Openmpopt.Pass_manager.run_pipeline ~pipeline ~injector ?trace m with
-        | exception e -> opt_error := Some (classify ~phase:Error.Optimizing e)
-        | report ->
-          opt_report := Some report;
-          List.iter
-            (fun r -> Fmt.pf err "%s@." (Openmpopt.Remark.to_string r))
-            report.Openmpopt.Pass_manager.remarks;
-          Fmt.pf err "openmp-opt: %a@." Openmpopt.Pass_manager.pp_report report;
-          (match Ir.Verify.check m with
-          | Result.Error msg ->
-            opt_error :=
-              Some
-                (Error.make Error.Verify ~phase:Error.Verifying
-                   ("after openmp-opt: " ^ msg))
-          | Result.Ok () -> ());
-          if config.Config.print_trace then
-            Option.iter
-              (fun tr ->
-                Fmt.pf err "openmp-opt trace:@.";
-                List.iter
-                  (fun e -> Fmt.pf err "  %a@." Observe.Trace.pp_event e)
-                  (Observe.Trace.events tr))
-              trace));
-      match !opt_error with
-      | Some e -> fail e
-      | None ->
-        if config.Config.emit_ir && not config.Config.remarks_only then
-          Fmt.pf out "%a" Ir.Printer.pp_module m;
-        let sim_result =
-          if config.Config.run_sim then begin
-            let sim =
-              Gpusim.Interp.create ~injector Gpusim.Machine.bench_machine m
-            in
-            match Gpusim.Interp.run_host sim with
-            | exception e -> Result.Error (classify ~phase:Error.Simulating e)
-            | () ->
-              Fmt.pf out "; kernel cycles: %d@."
-                (Gpusim.Interp.total_kernel_cycles sim);
-              List.iter
-                (fun (s : Gpusim.Interp.launch_stats) ->
-                  Fmt.pf out
-                    "; %s: cycles=%d regs=%d smem=%dB heap=%dB instrs=%d \
-                     barriers=%d atomics=%d div-branches=%d@."
-                    s.Gpusim.Interp.kernel_name s.Gpusim.Interp.cycles
-                    s.Gpusim.Interp.registers s.Gpusim.Interp.shared_bytes
-                    s.Gpusim.Interp.heap_high_water s.Gpusim.Interp.instructions
-                    s.Gpusim.Interp.barriers
-                    (s.Gpusim.Interp.atomics_global + s.Gpusim.Interp.atomics_shared)
-                    s.Gpusim.Interp.divergent_branches)
-                sim.Gpusim.Interp.kernel_stats;
-              Fmt.pf out "; trace:%a@."
-                (Fmt.list ~sep:Fmt.sp Gpusim.Rvalue.pp)
-                (Gpusim.Interp.trace_values sim);
-              Result.Ok (Some sim)
-          end
-          else Result.Ok None
-        in
-        match sim_result with
-        | Result.Error e -> fail e
-        | Result.Ok sim_result ->
-          if config.Config.want_stats then
-            stats :=
-              Some
-                (with_schema
-                   (Observe.Json.Obj
-                      ([
-                         ("file", Observe.Json.String file);
-                         ( "scheme",
-                           Observe.Json.String
-                             (Frontend.Codegen.scheme_name config.Config.scheme)
-                         );
-                         ( "report",
-                           match !opt_report with
-                           | Some r -> Openmpopt.Pass_manager.report_to_json r
-                           | None -> Observe.Json.Null );
-                         ( "passes",
-                           match trace with
-                           | Some tr -> Observe.Trace.to_json tr
-                           | None -> Observe.Json.List [] );
-                       ]
-                      @
-                      match sim_result with
-                      | Some sim -> [ ("sim", Gpusim.Stats.json_of_sim sim) ]
-                      | None -> [])));
-          finish 0 None))
+    finish (Error.exit_code e) (Some e) None
+  | Ok { Harness.Attempt.sim; _ } ->
+    Option.iter
+      (fun sim ->
+        Fmt.pf out "; kernel cycles: %d@." (Gpusim.Interp.total_kernel_cycles sim);
+        List.iter
+          (fun (s : Gpusim.Interp.launch_stats) ->
+            Fmt.pf out
+              "; %s: cycles=%d regs=%d smem=%dB heap=%dB instrs=%d \
+               barriers=%d atomics=%d div-branches=%d@."
+              s.Gpusim.Interp.kernel_name s.Gpusim.Interp.cycles
+              s.Gpusim.Interp.registers s.Gpusim.Interp.shared_bytes
+              s.Gpusim.Interp.heap_high_water s.Gpusim.Interp.instructions
+              s.Gpusim.Interp.barriers
+              (s.Gpusim.Interp.atomics_global + s.Gpusim.Interp.atomics_shared)
+              s.Gpusim.Interp.divergent_branches)
+          sim.Gpusim.Interp.kernel_stats;
+        Fmt.pf out "; trace:%a@."
+          (Fmt.list ~sep:Fmt.sp Gpusim.Rvalue.pp)
+          (Gpusim.Interp.trace_values sim))
+      sim;
+    let stats =
+      if not config.Config.want_stats then None
+      else
+        Some
+          (with_schema
+             (Observe.Json.Obj
+                ([
+                   ("file", Observe.Json.String file);
+                   ( "scheme",
+                     Observe.Json.String
+                       (Frontend.Codegen.scheme_name config.Config.scheme) );
+                   ( "report",
+                     match report with
+                     | Some r -> Openmpopt.Pass_manager.report_to_json r
+                     | None -> Observe.Json.Null );
+                   ( "passes",
+                     match trace with
+                     | Some tr -> Observe.Trace.to_json tr
+                     | None -> Observe.Json.List [] );
+                 ]
+                @
+                match sim with
+                | Some sim -> [ ("sim", Gpusim.Stats.json_of_sim sim) ]
+                | None -> [])))
+    in
+    finish 0 None stats
 
 let compile_buffered ?(config = Config.default) ?(file = "<source>") src =
   (* Per-(file, attempt) injector: the coin sequence a source sees does not
@@ -296,7 +245,7 @@ let compile ?config ?file src =
 let cache_version = "mompc-cache-v6"
 
 let cache_key ~file ~config ~source =
-  Sched.Cache.key [ cache_version; file; source; Config.fingerprint config ]
+  Harness.Attempt.key ~version:cache_version ~file ~source (Config.fingerprint config)
 
 let compiled_to_json (r : compiled) =
   Observe.Json.Obj

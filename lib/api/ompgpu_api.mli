@@ -18,11 +18,12 @@
       ([Service.Protocol.version], docs/API.md). *)
 
 val api_version : int
-(** The façade's surface version: 2.  Version 2 made pass pipelines
-    first-class ({!Pipeline}, [Config.pipeline], cache v6); the version-1
-    entry points ([Config.optimized], the [Config.options] field,
-    [Options.run]) remain as deprecated aliases for one release per the
-    policy above. *)
+(** The façade's surface version: 3.  Version 2 made pass pipelines
+    first-class ({!Pipeline}, [Config.pipeline], cache v6) and kept the
+    version-1 toggle entry points as deprecated aliases for one release;
+    version 3 removes them ([Config.optimized], the [Config.options]
+    field, [Options.run], [Options.all_disabled]).  Build a pipeline
+    instead — [Pipeline.of_options] maps a toggle record onto one. *)
 
 val schema_version : int
 (** Schema stamp of every JSON payload emitted by the stack: 2. *)
@@ -49,8 +50,10 @@ module Injector = Fault.Injector
 (** Deterministic fault injection ([--inject] specs). *)
 
 module Options = Openmpopt.Pass_manager
-(** Pass-pipeline options, report and counters ([Options.options],
-    [Options.default_options], [Options.report]). *)
+(** The pass driver: [Options.run_pipeline], the report and its counters
+    ([Options.report]), and the paper artifact's toggle record
+    ([Options.options], [Options.default_options]) that
+    [Pipeline.of_options] maps onto a pipeline. *)
 
 module Pipeline = Openmpopt.Pass_manager.Pipeline
 (** First-class pass pipelines (api_version 2): named tiers
@@ -84,14 +87,8 @@ module Apps = Proxyapps.Apps
 module Config : sig
   type t = {
     scheme : Frontend.Codegen.scheme;  (** globalization scheme *)
-    options : Openmpopt.Pass_manager.options option;
-        (** deprecated (api_version 2): the toggle-record way to request
-            optimization; superseded by [pipeline], which wins when both
-            are set.  Kept for one release per the deprecation policy. *)
     pipeline : Openmpopt.Pass_manager.Pipeline.t option;
-        (** [Some _] runs this pipeline; [None] falls back to [options]
-            (mapped via [Pipeline.of_options]) or, when that is also
-            [None], skips optimization entirely *)
+        (** [Some _] runs this pipeline; [None] skips optimization *)
     emit_ir : bool;  (** print the final MiniIR to the output *)
     run_sim : bool;  (** execute on the GPU simulator ([--run]) *)
     remarks_only : bool;  (** suppress IR output; keep remarks *)
@@ -112,19 +109,11 @@ module Config : sig
 
   val with_scheme : Frontend.Codegen.scheme -> t -> t
 
-  val optimized : ?options:Openmpopt.Pass_manager.options -> t -> t
-  (** Deprecated (api_version 2): sets the legacy [options] field; prefer
-      {!with_pipeline}.  [options] defaults to
-      [Openmpopt.Pass_manager.default_options], which is semantically
-      [Pipeline.full]. *)
-
   val with_pipeline : Openmpopt.Pass_manager.Pipeline.t -> t -> t
-  (** Run this pipeline (wins over the deprecated [options] field). *)
+  (** Run this pipeline ([Pipeline.full] is the paper's default). *)
 
   val pipeline_of : t -> Openmpopt.Pass_manager.Pipeline.t option
-  (** The pipeline the config actually runs: [pipeline] if set, else the
-      deprecated [options] mapped via [Pipeline.of_options], else [None]
-      (no optimization).  This is the identity {!fingerprint} hashes. *)
+  (** The pipeline the config runs ([None]: no optimization). *)
 
   val with_sim : t -> t
   val with_stats : t -> t
@@ -138,7 +127,8 @@ module Config : sig
 
   val fingerprint : t -> string
   (** Content identity of everything in the config that shapes the
-      compiled bytes; part of {!val:cache_key}. *)
+      compiled bytes ([Harness.Attempt.fingerprint] plus the output
+      flags); part of {!val:cache_key}. *)
 end
 
 (** One compiled source: the process exit code it asks for plus everything
@@ -167,8 +157,10 @@ val errored : file:string -> Error.t -> compiled
 
 val compile_buffered : ?config:Config.t -> ?file:string -> string -> compiled
 (** Compile one MiniOMP source (the exact semantics of one [mompc] file):
-    lower with the config's scheme, verify, optionally optimize and
-    simulate, retrying transient failures per the config.  [file] labels
+    one [Harness.Attempt.run] — lower with the config's scheme, verify,
+    optionally optimize and verify, optionally simulate on
+    [Gpusim.Machine.bench_machine] — rendered to buffers, retrying
+    transient failures per the config.  [file] labels
     diagnostics and seeds the per-(file, attempt) fault injector (default
     ["<source>"]).  Never raises. *)
 
@@ -180,9 +172,10 @@ val compile : ?config:Config.t -> ?file:string -> string -> (compiled, Error.t) 
     matter (the CLIs and the service do). *)
 
 val cache_key : file:string -> config:Config.t -> source:string -> string
-(** Content address of one source compile: digest of the file label, the
-    source text, the config fingerprint (scheme, pass options, emission
-    flags, stats/trace selection) and the fault-injector fingerprint.
+(** Content address of one source compile, derived by
+    [Harness.Attempt.key]: digest of the cache version, the file label,
+    the source text and the config fingerprint (scheme, pipeline,
+    fault-injector fingerprint, emission flags, stats/trace selection).
     Shared by the [--cache-dir] disk cache and the service's warm
     in-memory cache.  The file label joins the key because diagnostics
     embed it: the same source compiled as [a.c] and as [b.c] produces

@@ -50,16 +50,6 @@ let options_fingerprint (o : options) =
     (not o.disable_heap_to_shared)
     o.rounds
 
-let all_disabled =
-  {
-    default_options with
-    disable_spmdization = true;
-    disable_deglobalization = true;
-    disable_state_machine_rewrite = true;
-    disable_folding = true;
-    disable_internalization = true;
-  }
-
 (* First-class pipelines.
 
    A pipeline is a named, ordered list of pass descriptors plus a round
@@ -240,9 +230,8 @@ module Pipeline = struct
       in
       Ok { name; passes; rounds; grouping; heap_to_shared })
 
-  (* The legacy boolean-toggle surface, mapped onto a pipeline.  The
-     resulting pass sequence instruments exactly what [run] executed for the
-     same options, so the two surfaces produce byte-identical results. *)
+  (* The boolean-toggle record (the paper artifact's flags), mapped onto
+     the pipeline that runs the passes it leaves enabled. *)
   let of_options (o : options) =
     let passes =
       List.filter
@@ -514,10 +503,3 @@ let run_pipeline ?(pipeline = Pipeline.full) ?(injector = Fault.Injector.none) ?
       (Remark.all sink)
   in
   { !report with remarks }
-
-(* Deprecated alias (docs/API.md deprecation policy): the boolean-toggle
-   surface, routed through [run_pipeline] via [Pipeline.of_options].  The
-   mapped pipeline instruments the exact pass sequence the old driver
-   executed, so existing callers see byte-identical results and traces. *)
-let run ?(options = default_options) ?injector ?trace ?sink m =
-  run_pipeline ~pipeline:(Pipeline.of_options options) ?injector ?trace ?sink m

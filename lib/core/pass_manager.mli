@@ -1,6 +1,7 @@
 (** The OpenMPOpt pass driver: the paper's optimization pipeline.
 
-    [run] executes, over a MiniIR module produced by the front-end:
+    [run_pipeline] executes, over a MiniIR module produced by the
+    front-end:
     aggressive internalization, then rounds of mode-invariant runtime-call
     folding, deglobalization (HeapToStack / HeapToShared), SPMDzation,
     the custom state machine rewrite, execution-mode folding, runtime-call
@@ -31,15 +32,11 @@ val options_fingerprint : options -> string
     content address of a pipeline job in the scheduler's result cache
     (see docs/SCHEDULER.md).  Covers every field. *)
 
-val all_disabled : options
-(** Every OpenMP-specific optimization off (the "No OpenMP Optimization"
-    build of Figure 11); generic cleanup still runs. *)
-
 (** First-class pipelines: a named, ordered list of pass descriptors with a
     round count, serializable to a stable textual syntax.  This is the
-    primary way to select what [run_pipeline] executes — the boolean
-    [options] record above is the deprecated PR-4-era surface, kept per the
-    docs/API.md deprecation policy and mapped via [of_options].
+    way to select what [run_pipeline] executes; the boolean [options]
+    record above (the paper artifact's toggles, used by the evaluation's
+    build matrix and mompc's [-O] flags) maps onto one via [of_options].
 
     Spec syntax (also accepted by [mompc --pipeline] and protocol v2's
     ["pipeline"] request member):
@@ -88,7 +85,7 @@ module Pipeline : sig
 
   val full : t
   (** The paper's default pipeline: every pass, three rounds.  Semantically
-      identical to [run] with [default_options]. *)
+      identical to [of_options default_options]. *)
 
   val fast : t
   (** The low-latency tier answering cold daemon requests:
@@ -101,10 +98,9 @@ module Pipeline : sig
   val find : string -> t option
 
   val of_options : options -> t
-  (** Map the deprecated toggle record onto a pipeline.  The result
-      instruments the exact pass sequence the old [run] executed for the
-      same options, so both surfaces produce byte-identical results; when
-      the mapped semantics match a builtin, its name is adopted. *)
+  (** Map a toggle record onto the pipeline that runs the passes it
+      leaves enabled; when the mapped semantics match a builtin, its name
+      is adopted. *)
 
   val to_string : t -> string
   (** Canonical spec, [name ^ "=" ^ body]; [of_string (to_string p)] yields
@@ -176,7 +172,7 @@ val run_pipeline :
     exercising the driver-level recovery paths.
 
     All mutable pipeline state (remark sink, counters, trace) is local to
-    one [run] invocation, so concurrent runs on distinct modules from
+    one invocation, so concurrent runs on distinct modules from
     different domains are safe and cannot observe each other's remarks.
     [sink] injects a caller-owned (fresh, per-job) remark sink; when
     omitted, a private one is created.
@@ -186,15 +182,3 @@ val run_pipeline :
     deltas, and the increments to the report counters (plus a ["remarks"]
     pseudo-counter with the number of remarks the pass emitted).  Passes
     absent from the pipeline record nothing. *)
-
-val run :
-  ?options:options ->
-  ?injector:Fault.Injector.t ->
-  ?trace:Observe.Trace.t ->
-  ?sink:Remark.sink ->
-  Ir.Irmod.t ->
-  report
-(** Deprecated (since api_version 2; docs/API.md deprecation policy): the
-    boolean-toggle surface over [run_pipeline], equivalent to
-    [run_pipeline ~pipeline:(Pipeline.of_options options)] and
-    byte-identical to it.  New callers should build a [Pipeline.t]. *)

@@ -25,45 +25,19 @@ type outcome = Ok of metrics | Err of Fault.Ompgpu_error.t
 
 type measurement = { app : string; config : Config.t; outcome : outcome }
 
-(* Front-end compile only: the returned options say whether (and how) the
-   OpenMP-aware pipeline still has to run.  Splitting the front end from the
-   middle end lets the cached path content-address the *unoptimized* module
-   text and skip the optimize+simulate work on a hit. *)
-let frontend_for (config : Config.t) (app : Proxyapps.App.t)
-    (scale : Proxyapps.App.scale) =
-  let file = app.Proxyapps.App.name ^ ".c" in
+(* What a build lowers and how: the scheme, the source and the pipeline. *)
+let lowering (app : Proxyapps.App.t) scale (config : Config.t) =
+  let omp () = app.Proxyapps.App.omp_source scale in
   match config.Config.build with
-  | Config.Llvm12 ->
-    let src = app.Proxyapps.App.omp_source scale in
-    (Frontend.Codegen.compile ~scheme:Frontend.Codegen.Legacy ~file src, None)
-  | Config.Dev_noopt ->
-    let src = app.Proxyapps.App.omp_source scale in
-    (Frontend.Codegen.compile ~scheme:Frontend.Codegen.Simplified ~file src, None)
+  | Config.Llvm12 -> (Frontend.Codegen.Legacy, omp (), None)
+  | Config.Dev_noopt -> (Frontend.Codegen.Simplified, omp (), None)
   | Config.Dev options ->
-    let src = app.Proxyapps.App.omp_source scale in
-    (Frontend.Codegen.compile ~scheme:Frontend.Codegen.Simplified ~file src, Some options)
-  | Config.Cuda ->
-    let src = app.Proxyapps.App.cuda_source scale in
-    (Frontend.Codegen.compile ~scheme:Frontend.Codegen.Cuda ~file src, None)
+    ( Frontend.Codegen.Simplified,
+      omp (),
+      Some (Openmpopt.Pass_manager.Pipeline.of_options options) )
+  | Config.Cuda -> (Frontend.Codegen.Cuda, app.Proxyapps.App.cuda_source scale, None)
 
-(* Attribute one phase of one job to the profile collector, when there is
-   one.  The stack is [job label; phase], which folds into the
-   per-job-per-phase flamegraph `make perf` renders (docs/PERF.md). *)
-let prof perf ~plabel phase f =
-  match perf with
-  | None -> f ()
-  | Some p -> Observe.Perf.record p ~stack:[ plabel; phase ] f
-
-let compile_for ?trace ?injector ?perf ~plabel (config : Config.t)
-    (app : Proxyapps.App.t) (scale : Proxyapps.App.scale) =
-  match prof perf ~plabel "frontend" (fun () -> frontend_for config app scale) with
-  | m, None -> (m, None)
-  | m, Some options ->
-    let report =
-      prof perf ~plabel "optimize" (fun () ->
-          Openmpopt.Pass_manager.run ~options ?injector ?trace m)
-    in
-    (m, Some report)
+let file_of (app : Proxyapps.App.t) = app.Proxyapps.App.name ^ ".c"
 
 let checksum_of_trace sim =
   match Gpusim.Interp.trace_values sim with
@@ -71,53 +45,29 @@ let checksum_of_trace sim =
   | [ Gpusim.Rvalue.I v ] -> Some (Int64.to_float v)
   | _ -> None
 
-(* Verify + simulate an already-optimized module.  [scratch] recycles the
-   simulation arenas across the jobs of one pool worker; results are
-   byte-identical to the allocate-per-job path (see gpusim/scratch.ml). *)
-let measure ~machine ~trace ?injector ?scratch ?perf ?(plabel = "") (m : Ir.Irmod.t)
-    (report : Openmpopt.Pass_manager.report option) : outcome =
-  match prof perf ~plabel "verify" (fun () -> Ir.Verify.check m) with
-  | Result.Error msg ->
-    Err
-      (Fault.Ompgpu_error.make Fault.Ompgpu_error.Verify
-         ~phase:Fault.Ompgpu_error.Verifying msg)
-  | Result.Ok () -> (
-    let sim = Gpusim.Interp.create ?injector ?scratch machine m in
-    match prof perf ~plabel "simulate" (fun () -> Gpusim.Interp.run_host sim) with
-    | exception e ->
-      Gpusim.Interp.release sim;
-      Err
-        (Errors.classify ~phase:Fault.Ompgpu_error.Simulating e
-           (Printexc.get_raw_backtrace ()))
-    | () ->
-      let stats = sim.Gpusim.Interp.kernel_stats in
-      let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
-      Ok
-        {
-          cycles = Gpusim.Interp.total_kernel_cycles sim;
-          smem_bytes = Gpusim.Interp.max_shared_bytes sim;
-          registers = Gpusim.Interp.max_registers sim;
-          heap_high_water =
-            List.fold_left
-              (fun acc (s : Gpusim.Interp.launch_stats) ->
-                max acc s.heap_high_water)
-              0 stats;
-          instructions = sum (fun s -> s.Gpusim.Interp.instructions);
-          barriers = sum (fun s -> s.Gpusim.Interp.barriers);
-          atomics =
-            sum (fun s ->
-                s.Gpusim.Interp.atomics_global + s.Gpusim.Interp.atomics_shared);
-          divergent_branches = sum (fun s -> s.Gpusim.Interp.divergent_branches);
-          indirect_calls = sum (fun s -> s.Gpusim.Interp.indirect_calls);
-          runtime_calls = sum (fun s -> s.Gpusim.Interp.runtime_calls);
-          checksum = checksum_of_trace sim;
-          report;
-          kernel_stats = List.rev stats;
-          trace;
-        }
-      |> fun ok ->
-      Gpusim.Interp.release sim;
-      ok)
+let metrics_of ~trace report sim =
+  let stats = sim.Gpusim.Interp.kernel_stats in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
+  {
+    cycles = Gpusim.Interp.total_kernel_cycles sim;
+    smem_bytes = Gpusim.Interp.max_shared_bytes sim;
+    registers = Gpusim.Interp.max_registers sim;
+    heap_high_water =
+      List.fold_left
+        (fun acc (s : Gpusim.Interp.launch_stats) -> max acc s.heap_high_water)
+        0 stats;
+    instructions = sum (fun s -> s.Gpusim.Interp.instructions);
+    barriers = sum (fun s -> s.Gpusim.Interp.barriers);
+    atomics =
+      sum (fun s -> s.Gpusim.Interp.atomics_global + s.Gpusim.Interp.atomics_shared);
+    divergent_branches = sum (fun s -> s.Gpusim.Interp.divergent_branches);
+    indirect_calls = sum (fun s -> s.Gpusim.Interp.indirect_calls);
+    runtime_calls = sum (fun s -> s.Gpusim.Interp.runtime_calls);
+    checksum = checksum_of_trace sim;
+    report;
+    kernel_stats = List.rev stats;
+    trace;
+  }
 
 (* Machine descriptions are immutable records of scalars, so marshalling is
    a deterministic content fingerprint.  Batches hash the same machine for
@@ -136,21 +86,17 @@ let scale_fingerprint = function
   | Proxyapps.App.Tiny -> "tiny"
   | Proxyapps.App.Bench -> "bench"
 
-(* The content address of one pipeline job (docs/SCHEDULER.md): the
-   unoptimized MiniIR text plus everything else that determines the
-   measurement — the build (pass options), the simulated machine, the
-   problem scale, and the (derived) fault-injector fingerprint: an injected
-   run must never share a cached result with a clean one, nor with a
-   different seed.  The app name is deliberately NOT part of the key. *)
-let cache_key ~machine ~scale ?(inject = "") (m : Ir.Irmod.t) (config : Config.t) =
-  Sched.Cache.key
-    [
-      Ir.Printer.module_to_string m;
-      Config.build_fingerprint config.Config.build;
-      machine_fingerprint machine;
-      scale_fingerprint scale;
-      inject;
-    ]
+(* The content address of one job (docs/SCHEDULER.md): Attempt.key over the
+   source the build lowers, the file label, the scheme, the pipeline, the
+   (derived) fault-injector fingerprint — an injected run must never share
+   a cached result with a clean one, nor with a different seed — and the
+   simulated machine.  The scale is in the source text. *)
+let key ~machine ~inject app (scheme, source, pipeline) =
+  Attempt.key ~version:"runner" ~file:(file_of app) ~source
+    (Attempt.fingerprint ~scheme ~pipeline ~inject [ machine_fingerprint machine ])
+
+let cache_key ~machine ~scale ?(inject = "") app config =
+  key ~machine ~inject app (lowering app scale config)
 
 (* The per-job injector: derived from the config's specs with a tag naming
    the job AND the attempt, so (a) the coin sequence one job sees is
@@ -176,34 +122,27 @@ let run ?(machine = Gpusim.Machine.bench_machine) ?(scale = Proxyapps.App.Bench)
   (* the Pool_stall site: an injected stall at job start exercises the
      batch watchdog without touching any compute layer *)
   Fault.Injector.stall injector;
-  let classify ~phase e = Err (Errors.classify ~phase e (Printexc.get_raw_backtrace ())) in
+  let ((scheme, source, pipeline) as lowered) = lowering app scale config in
+  let compute () =
+    match
+      Attempt.run ~file:(file_of app) ~scheme ?pipeline ~machine ~injector ~simulate:true
+        ?trace ?scratch
+        ?perf:(Option.map (fun p -> (p, plabel)) perf)
+        source
+    with
+    | Error f -> Err f.Attempt.error
+    | Ok { Attempt.sim = None; _ } -> assert false (* ~simulate:true *)
+    | Ok { Attempt.report; sim = Some sim; _ } ->
+      let ok = Ok (metrics_of ~trace report sim) in
+      Gpusim.Interp.release sim;
+      ok
+  in
   let outcome =
     match cache with
-    | None -> (
-      match compile_for ?trace ~injector ?perf ~plabel config app scale with
-      | exception e -> classify ~phase:Fault.Ompgpu_error.Lowering e
-      | m, report -> measure ~machine ~trace ~injector ?scratch ?perf ~plabel m report)
-    | Some cache -> (
-      (* the front end always runs (its text is the cache key); the
-         optimize+simulate work — the expensive part — is what a hit skips.
-         Front-end failures produce no module, hence no key: not cached. *)
-      match prof perf ~plabel "frontend" (fun () -> frontend_for config app scale) with
-      | exception e -> classify ~phase:Fault.Ompgpu_error.Lowering e
-      | m, options ->
-        let key =
-          cache_key ~machine ~scale ~inject:(Fault.Injector.fingerprint injector) m
-            config
-        in
-        Sched.Cache.find_or_compute cache ~key (fun () ->
-            match
-              prof perf ~plabel "optimize" (fun () ->
-                  Option.map
-                    (fun options ->
-                      Openmpopt.Pass_manager.run ~options ~injector ?trace m)
-                    options)
-            with
-            | exception e -> classify ~phase:Fault.Ompgpu_error.Optimizing e
-            | report -> measure ~machine ~trace ~injector ?scratch ?perf ~plabel m report))
+    | None -> compute ()
+    | Some cache ->
+      let inject = Fault.Injector.fingerprint injector in
+      Sched.Cache.find_or_compute cache ~key:(key ~machine ~inject app lowered) compute
   in
   { app = app.Proxyapps.App.name; config; outcome }
 

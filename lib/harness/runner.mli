@@ -1,5 +1,6 @@
 (** Compile + optimize + simulate one proxy application under one build
-    configuration, collecting the metrics the paper reports. *)
+    configuration ({!Attempt.run}), collecting the metrics the paper
+    reports. *)
 
 type metrics = {
   cycles : int;
@@ -34,14 +35,14 @@ val cache_key :
   machine:Gpusim.Machine.t ->
   scale:Proxyapps.App.scale ->
   ?inject:string ->
-  Ir.Irmod.t ->
+  Proxyapps.App.t ->
   Config.t ->
   string
-(** Content address of one pipeline job: digest of the unoptimized MiniIR
-    module text, the build fingerprint (pass options), the machine
-    description, the scale and the fault-injector fingerprint ([inject],
-    default [""] = no injection).  Exposed for the test suite; the exact
-    definition is documented in docs/SCHEDULER.md. *)
+(** Content address of one job, derived by {!Attempt.key}: the source the
+    build lowers (which embeds the scale), the file label, the scheme, the
+    pipeline fingerprint, the fault-injector fingerprint ([inject],
+    default [""] = no injection) and the machine description.  Exposed for
+    the test suite; docs/SCHEDULER.md documents the derivation. *)
 
 val run :
   ?machine:Gpusim.Machine.t ->
@@ -74,10 +75,10 @@ val run :
     injector is derived and threaded through the pass manager and the
     simulator; [attempt] (default 0) makes retried jobs draw fresh coins.
 
-    With [cache], the front end still runs (its output text is the content
-    address) but the optimize+simulate work is skipped on a hit.  A cached
-    outcome carries the trace and report of the job that computed it;
-    front-end failures are never cached. *)
+    The job is one {!Attempt.run}: front end, verify, the build's
+    pipeline (Dev builds), verify, simulate.  With [cache], a hit skips
+    the whole attempt; a cached outcome carries the trace and report of
+    the job that computed it. *)
 
 val run_configs :
   ?machine:Gpusim.Machine.t ->

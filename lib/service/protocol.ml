@@ -2,7 +2,9 @@
 
    v2 (api_version 2): the config object gained an optional "pipeline"
    member — a pipeline spec string (Pass_manager.Pipeline.of_string) that
-   supersedes "optimize"/"disable" and may not be combined with them. *)
+   supersedes "optimize"/"disable" and may not be combined with them.
+   The encoder sends only "pipeline"; the decoder still accepts the
+   toggle pair and maps it straight to a pipeline. *)
 
 module J = Observe.Json
 module E = Fault.Ompgpu_error
@@ -36,17 +38,6 @@ type response =
 
 (* The disable list names the paper artifact's pass toggles; absent
    members mean "default", so old clients keep working as fields grow. *)
-let disable_names =
-  [
-    ("spmdization", (fun (o : Openmpopt.Pass_manager.options) -> o.disable_spmdization));
-    ("deglobalization", fun o -> o.disable_deglobalization);
-    ("state-machine-rewrite", fun o -> o.disable_state_machine_rewrite);
-    ("folding", fun o -> o.disable_folding);
-    ("internalization", fun o -> o.disable_internalization);
-    ("guard-grouping", fun o -> o.disable_guard_grouping);
-    ("heap-to-shared", fun o -> o.disable_heap_to_shared);
-  ]
-
 let apply_disable (o : Openmpopt.Pass_manager.options) = function
   | "spmdization" -> Ok { o with disable_spmdization = true }
   | "deglobalization" -> Ok { o with disable_deglobalization = true }
@@ -60,23 +51,11 @@ let apply_disable (o : Openmpopt.Pass_manager.options) = function
 let config_to_json (c : Ompgpu_api.Config.t) =
   J.Obj
     ([ ("scheme", J.String (Frontend.Codegen.scheme_name c.scheme)) ]
-    (* an explicit pipeline travels as its spec string and replaces the
-       legacy optimize/disable members (they may not be combined) *)
+    (* a pipeline travels as its spec string; no member means O0 *)
     @ (match c.pipeline with
       | Some p ->
         [ ("pipeline", J.String (Openmpopt.Pass_manager.Pipeline.to_string p)) ]
-      | None -> (
-        [ ("optimize", J.Bool (c.options <> None)) ]
-        @
-        match c.options with
-        | Some o ->
-          let disabled =
-            List.filter_map
-              (fun (name, get) -> if get o then Some (J.String name) else None)
-              disable_names
-          in
-          if disabled = [] then [] else [ ("disable", J.List disabled) ]
-        | None -> []))
+      | None -> [])
     @ [
         ("emit_ir", J.Bool c.emit_ir);
         ("run", J.Bool c.run_sim);
@@ -123,7 +102,7 @@ let config_of_json j =
     | Some _ -> Error "config.pipeline: expected a pipeline spec string"
   in
   let* optimize = bool_member "optimize" false in
-  let* options =
+  let* toggled =
     if not optimize then
       match J.member "disable" j with
       | Some _ -> Error "config.disable: requires \"optimize\": true"
@@ -151,7 +130,7 @@ let config_of_json j =
           (Ok Openmpopt.Pass_manager.default_options)
           disabled
       in
-      Ok (Some options)
+      Ok (Some (Openmpopt.Pass_manager.Pipeline.of_options options))
   in
   let* emit_ir = bool_member "emit_ir" d.Ompgpu_api.Config.emit_ir in
   let* run_sim = bool_member "run" d.Ompgpu_api.Config.run_sim in
@@ -192,8 +171,7 @@ let config_of_json j =
   Ok
     {
       Ompgpu_api.Config.scheme;
-      options;
-      pipeline;
+      pipeline = (match pipeline with Some _ -> pipeline | None -> toggled);
       emit_ir;
       run_sim;
       remarks_only;

@@ -8,7 +8,8 @@
     v2 (api_version 2): the compile config gained an optional ["pipeline"]
     member — a pipeline spec string ([Pipeline.of_string]) superseding the
     legacy ["optimize"]/["disable"] pair, which remain accepted on their
-    own but may not be combined with it.
+    own (decoded straight to the equivalent pipeline) but may not be
+    combined with it.  Encoders send only ["pipeline"] (api_version 3).
 
     Every message carries [{"v": 2, ...}]; the server rejects other
     versions with a structured [Bad_request].  Requests carry a

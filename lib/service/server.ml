@@ -479,8 +479,7 @@ let tier_eligible t (config : Ompgpu_api.Config.t) =
 let fast_config (config : Ompgpu_api.Config.t) =
   {
     config with
-    Ompgpu_api.Config.options = None;
-    pipeline = Some Openmpopt.Pass_manager.Pipeline.fast;
+    Ompgpu_api.Config.pipeline = Some Openmpopt.Pass_manager.Pipeline.fast;
   }
 
 (* Fast-tier disk entries live under a derived key, not the request's: a

@@ -23,7 +23,8 @@ let optimize ?(options = Openmpopt.Pass_manager.default_options) m =
             e.Observe.Trace.pass e.Observe.Trace.round msg)
       ()
   in
-  let report = Openmpopt.Pass_manager.run ~options ~trace m in
+  let pipeline = Openmpopt.Pass_manager.Pipeline.of_options options in
+  let report = Openmpopt.Pass_manager.run_pipeline ~pipeline ~trace m in
   verify m;
   report
 

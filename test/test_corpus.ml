@@ -124,7 +124,7 @@ let cache_key_golden () =
       ( "cuda",
         Api.Config.with_scheme Frontend.Codegen.Cuda Api.Config.default,
         "1679501d9da5882d" );
-      ("optimized", Api.Config.optimized Api.Config.default,
+      ("optimized", Api.Config.with_pipeline Api.Pipeline.full Api.Config.default,
        "01b3fc9f66293233");
       ("sim", Api.Config.with_sim Api.Config.default,
        "277379d18d2f61b6");

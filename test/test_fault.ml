@@ -161,16 +161,13 @@ let test_fail_fast_kinds () =
 
 let test_injection_joins_cache_key () =
   let app = rsbench () in
-  let m = Frontend.Codegen.compile ~scheme:Frontend.Codegen.Simplified ~file:"rsbench.c"
-      (app.Proxyapps.App.omp_source scale)
-  in
   let clean = Harness.Config.no_opt in
   let injected = inject Inj.Sim_trap clean in
   Alcotest.(check bool) "injected and clean runs never share a cache entry" false
-    (Harness.Runner.cache_key ~machine ~scale m clean
+    (Harness.Runner.cache_key ~machine ~scale app clean
     = Harness.Runner.cache_key ~machine ~scale
         ~inject:(Inj.fingerprint (Inj.create injected.Harness.Config.inject))
-        m injected)
+        app injected)
 
 let test_retry_recovers () =
   (* rate 0.0002 / seed 8 is a probed (deterministic) schedule: attempt 0

@@ -88,8 +88,8 @@ let prop_differential c =
 let prop_idempotent c =
   let src = render c in
   let m = Helpers.compile src in
-  ignore (Openmpopt.Pass_manager.run m);
-  let second = Openmpopt.Pass_manager.run m in
+  ignore (Openmpopt.Pass_manager.run_pipeline m);
+  let second = Openmpopt.Pass_manager.run_pipeline m in
   let open Openmpopt.Pass_manager in
   if
     second.heap_to_stack <> 0 || second.heap_to_shared <> 0 || second.spmdized <> 0

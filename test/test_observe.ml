@@ -90,13 +90,10 @@ int main() {
 }
 |}
 
-let traced_run ?options src =
+let traced_run ?pipeline src =
   let m = Helpers.compile src in
   let tr = T.create () in
-  let options =
-    match options with Some o -> o | None -> Openmpopt.Pass_manager.default_options
-  in
-  let report = Openmpopt.Pass_manager.run ~options ~trace:tr m in
+  let report = Openmpopt.Pass_manager.run_pipeline ?pipeline ~trace:tr m in
   (m, report, T.events tr)
 
 let test_event_ordering () =
@@ -144,7 +141,7 @@ let test_delta_arithmetic () =
   let m = Helpers.compile spmd_src in
   let before = T.stats_of_module m in
   let tr = T.create () in
-  let report = Openmpopt.Pass_manager.run ~trace:tr m in
+  let report = Openmpopt.Pass_manager.run_pipeline ~trace:tr m in
   let after = T.stats_of_module m in
   let total =
     List.fold_left
@@ -195,7 +192,7 @@ let test_event_json_roundtrip () =
   (* and the whole trace parses back from its serialized form *)
   let m = Helpers.compile spmd_src in
   let tr = T.create () in
-  ignore (Openmpopt.Pass_manager.run ~trace:tr m);
+  ignore (Openmpopt.Pass_manager.run_pipeline ~trace:tr m);
   match J.of_string (J.to_string (T.to_json tr)) with
   | Ok (J.List l) ->
     Alcotest.(check int) "event count survives" (List.length (T.events tr)) (List.length l)

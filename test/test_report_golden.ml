@@ -13,7 +13,7 @@ let counters app_name =
     Frontend.Codegen.compile ~scheme:Frontend.Codegen.Simplified
       ~file:(app_name ^ ".c") src
   in
-  let report = Openmpopt.Pass_manager.run m in
+  let report = Openmpopt.Pass_manager.run_pipeline m in
   Helpers.verify m;
   Openmpopt.Pass_manager.counters_of_report report
 

@@ -346,7 +346,7 @@ let test_client_reconnect_byte_identical () =
       Service.Server.stop server;
       Thread.join thread)
     (fun () ->
-      let config = A.Config.(default |> optimized) in
+      let config = A.Config.(default |> with_pipeline A.Pipeline.full) in
       let session = Service.Client.session ~policy:fast_policy ~socket_path () in
       List.iter
         (fun name ->
@@ -403,7 +403,7 @@ let test_supervisor_restarts_transparently () =
   let thread =
     Thread.create (fun () -> outcome := Some (Service.Supervisor.run sup)) ()
   in
-  let config = A.Config.(default |> optimized) in
+  let config = A.Config.(default |> with_pipeline A.Pipeline.full) in
   List.iter
     (fun name ->
       let file = name ^ ".momp" in

@@ -94,7 +94,7 @@ let test_request_goldens () =
   (* the wire version, the API version and the observability schema are
      three distinct version numbers; pin all three so a bump that forgets
      one of them fails here, not in a client *)
-  Alcotest.(check int) "api_version is 2" 2 A.api_version;
+  Alcotest.(check int) "api_version is 3" 3 A.api_version;
   Alcotest.(check int) "protocol version is 2" 2 Service.Protocol.version;
   Alcotest.(check int) "schema_version is 2" 2 J.schema_version;
   Alcotest.(check string)
@@ -107,7 +107,7 @@ let test_request_goldens () =
   Alcotest.(check string)
     "compile request, default config"
     ({|{"v":2,"id":"c1","op":"compile","file":"t.c","source":"int main() { return 0; }",|}
-    ^ {|"config":{"scheme":"simplified","optimize":false,"emit_ir":true,"run":false,|}
+    ^ {|"config":{"scheme":"simplified","emit_ir":true,"run":false,|}
     ^ {|"remarks_only":false,"stats":false,"trace":false,"inject":[],"retries":0,|}
     ^ {|"backoff":0.050000000000000003,"backtrace":false}}|})
     (wire
@@ -128,7 +128,7 @@ let test_request_goldens () =
            id = "c2";
            file = "t.c";
            source = "x";
-           config = A.Config.(default |> optimized |> with_sim);
+           config = A.Config.(default |> with_pipeline A.Pipeline.full |> with_sim);
            tenant = None;
          })
   in
@@ -167,13 +167,13 @@ let test_request_roundtrip () =
   let config =
     A.Config.(
       default |> with_scheme Frontend.Codegen.Legacy
-      |> optimized
-           ~options:
-             {
-               Openmpopt.Pass_manager.default_options with
-               disable_spmdization = true;
-               disable_heap_to_shared = true;
-             }
+      |> with_pipeline
+           (A.Pipeline.of_options
+              {
+                Openmpopt.Pass_manager.default_options with
+                disable_spmdization = true;
+                disable_heap_to_shared = true;
+              })
       |> with_sim |> with_stats
       |> with_retries ~backoff_s:0.25 2)
   in
@@ -295,6 +295,62 @@ let test_pipeline_on_the_wire () =
         (A.Pipeline.to_string p)
     | None -> Alcotest.fail "pipeline member lost in decoding")
 
+(* The legacy "optimize"/"disable" members still decode, straight to the
+   equivalent pipeline: a request using them carries the same config
+   fingerprint, and compiles to the same bytes, as one naming that
+   pipeline's spec. *)
+let test_toggles_decode_to_pipeline () =
+  let decode config =
+    match
+      Service.Protocol.request_of_json
+        (J.Obj
+           [
+             ("v", J.Int 2);
+             ("id", J.String "t");
+             ("op", J.String "run");
+             ("file", J.String "x.c");
+             ("source", J.String "s");
+             ("config", J.Obj config);
+           ])
+    with
+    | Ok (Service.Protocol.Compile { config; _ }) -> config
+    | Ok _ -> Alcotest.fail "decoded as another operation"
+    | Error e -> Alcotest.failf "rejected: %s" (E.to_string e)
+  in
+  let toggles =
+    decode
+      [
+        ("optimize", J.Bool true);
+        ("disable", J.List [ J.String "spmdization"; J.String "heap-to-shared" ]);
+        ("run", J.Bool true);
+      ]
+  in
+  let spec =
+    A.Pipeline.to_string
+      (A.Pipeline.of_options
+         {
+           Openmpopt.Pass_manager.default_options with
+           disable_spmdization = true;
+           disable_heap_to_shared = true;
+         })
+  in
+  let piped = decode [ ("pipeline", J.String spec); ("run", J.Bool true) ] in
+  Alcotest.(check string)
+    "same config fingerprint" (A.Config.fingerprint piped)
+    (A.Config.fingerprint toggles);
+  let source = (Proxyapps.Apps.find_exn "su3bench").Proxyapps.App.omp_source Proxyapps.App.Tiny in
+  let a = A.compile_buffered ~config:toggles ~file:"x.c" source in
+  let b = A.compile_buffered ~config:piped ~file:"x.c" source in
+  Alcotest.(check int) "exit code" 0 a.A.exit_code;
+  Alcotest.(check string) "stdout bytes" b.A.output a.A.output;
+  Alcotest.(check string) "stderr bytes" b.A.diagnostics a.A.diagnostics;
+  (* the encoder sends only the pipeline *)
+  let j = Service.Protocol.config_to_json toggles in
+  Alcotest.(check (option string)) "re-encoded as its spec" (Some spec)
+    (Option.bind (J.member "pipeline" j) J.to_str);
+  Alcotest.(check bool) "no toggle members" true
+    (J.member "optimize" j = None && J.member "disable" j = None)
+
 (* ------------------------------------------------------------------ *)
 (* Daemon round-trips                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -303,7 +359,7 @@ let test_pipeline_on_the_wire () =
    daemon's answer must match the one-shot façade compile byte for byte
    (the acceptance criterion of the PR). *)
 let test_daemon_byte_identical () =
-  let config = A.Config.(default |> optimized |> with_sim |> with_stats) in
+  let config = A.Config.(default |> with_pipeline A.Pipeline.full |> with_sim |> with_stats) in
   with_server @@ fun socket_path ->
   Service.Client.with_connection ~socket_path @@ fun c ->
   List.iter
@@ -316,7 +372,7 @@ let test_daemon_byte_identical () =
     all_app_names
 
 let test_daemon_warm_cache () =
-  let config = A.Config.(default |> optimized) in
+  let config = A.Config.(default |> with_pipeline A.Pipeline.full) in
   let source = app_source "xsbench" in
   with_server @@ fun socket_path ->
   Service.Client.with_connection ~socket_path @@ fun c ->
@@ -360,7 +416,7 @@ let test_daemon_health () =
    produce exactly the bytes sequential one-shot compiles produce — no
    cross-request bleed through the shared pool, caches or counters. *)
 let test_daemon_concurrent_fan_in () =
-  let config = A.Config.(default |> optimized |> with_sim) in
+  let config = A.Config.(default |> with_pipeline A.Pipeline.full |> with_sim) in
   let expected =
     List.map
       (fun name ->
@@ -430,8 +486,8 @@ let test_daemon_survives_pass_crash () =
     | Ok s -> s
     | Error m -> Alcotest.fail m
   in
-  let crash_config = A.Config.(default |> optimized |> with_inject [ spec ]) in
-  let clean_config = A.Config.(default |> optimized) in
+  let crash_config = A.Config.(default |> with_pipeline A.Pipeline.full |> with_inject [ spec ]) in
+  let clean_config = A.Config.(default |> with_pipeline A.Pipeline.full) in
   let source = app_source "su3bench" in
   let file = "s.momp" in
   with_server @@ fun socket_path ->
@@ -490,7 +546,7 @@ let rec wait_for_upgrades c ~target deadline =
    entry; and once the background upgrade lands, the served bytes are
    identical to a one-shot full-pipeline compile. *)
 let test_daemon_tier_upgrade () =
-  let config = A.Config.(default |> optimized) in
+  let config = A.Config.(default |> with_pipeline A.Pipeline.full) in
   let source = app_source "xsbench" in
   let file = "x.momp" in
   let oneshot_full = A.compile_buffered ~config ~file source in
@@ -538,7 +594,7 @@ let test_daemon_tier_upgrade () =
 (* An untiered daemon must be wholly unaffected by the machinery: cold
    answers are full-pipeline bytes and the tiers counters stay zero. *)
 let test_daemon_untiered_unchanged () =
-  let config = A.Config.(default |> optimized) in
+  let config = A.Config.(default |> with_pipeline A.Pipeline.full) in
   let source = app_source "su3bench" in
   let file = "s.momp" in
   let oneshot = A.compile_buffered ~config ~file source in
@@ -603,7 +659,7 @@ let with_source_file source f =
 (* [Ompgpu_api.compile_buffered] IS what mompc prints: same bytes, same
    exit code — the façade test the satellite asks for. *)
 let test_facade_matches_cli () =
-  let config = A.Config.(default |> optimized |> with_sim) in
+  let config = A.Config.(default |> with_pipeline A.Pipeline.full |> with_sim) in
   with_source_file (app_source "rsbench") @@ fun path ->
   let facade = A.compile_buffered ~config ~file:path (app_source "rsbench") in
   let code, out, err =
@@ -703,6 +759,8 @@ let suite =
     Alcotest.test_case "protocol/response-goldens" `Quick test_response_goldens;
     Alcotest.test_case "protocol/request-roundtrip" `Quick test_request_roundtrip;
     Alcotest.test_case "protocol/bad-requests" `Quick test_bad_requests;
+    Alcotest.test_case "protocol/toggles-decode-to-pipeline" `Quick
+      test_toggles_decode_to_pipeline;
     Alcotest.test_case "protocol/pipeline-on-the-wire" `Quick
       test_pipeline_on_the_wire;
     Alcotest.test_case "daemon/byte-identical-all-apps" `Quick

@@ -24,7 +24,8 @@ let build (app : Proxyapps.App.t) (config : Harness.Config.t) =
     compile Frontend.Codegen.Simplified (app.Proxyapps.App.omp_source scale)
   | Harness.Config.Dev options ->
     let m = compile Frontend.Codegen.Simplified (app.Proxyapps.App.omp_source scale) in
-    ignore (Openmpopt.Pass_manager.run ~options m);
+    let pipeline = Openmpopt.Pass_manager.Pipeline.of_options options in
+    ignore (Openmpopt.Pass_manager.run_pipeline ~pipeline m);
     m
   | Harness.Config.Cuda ->
     compile Frontend.Codegen.Cuda (app.Proxyapps.App.cuda_source scale)

@@ -9,7 +9,8 @@ let () =
   let optarg = try Sys.argv.(3) with _ -> "" in
   let opt = optarg <> "" && optarg <> "noopt" in
   let has f = List.mem f (String.split_on_char ',' optarg) in
-  let options =
+  let pipeline =
+    Openmpopt.Pass_manager.Pipeline.of_options
     { Openmpopt.Pass_manager.default_options with
       disable_spmdization = has "no-spmd";
       disable_deglobalization = has "no-deglob";
@@ -22,7 +23,7 @@ let () =
   let m = Frontend.Codegen.compile ~scheme ~file src in
   (match Ir.Verify.check m with Ok () -> () | Error e -> failwith ("pre-opt: " ^ e));
   if opt then begin
-    let report = Openmpopt.Pass_manager.run ~options m in
+    let report = Openmpopt.Pass_manager.run_pipeline ~pipeline m in
     Format.printf "opt: %a@." Openmpopt.Pass_manager.pp_report report;
     List.iter (fun r -> Format.printf "  %s@." (Openmpopt.Remark.to_string r))
       report.Openmpopt.Pass_manager.remarks;
