@@ -127,10 +127,10 @@ let sched_bench () =
      scheduler hiccup (a GC pause, a noisy-neighbour slice) on either side
      does not decide the ratio the CI perf gate enforces. *)
   let seq, seq_s =
-    Observe.Perf.best_of 2 (fun () -> Harness.Runner.run_batch ~machine ~scale:tiny jobs)
+    Observe.Perf.best_of_2 (fun () -> Harness.Runner.run_batch ~machine ~scale:tiny jobs)
   in
   let (par, pool_stats, active, cache), par_s =
-    Observe.Perf.best_of 2 (fun () ->
+    Observe.Perf.best_of_2 (fun () ->
         let cache : Harness.Runner.outcome Sched.Cache.t = Sched.Cache.create () in
         Sched.Pool.with_pool ~domains:sched_domains (fun pool ->
             let r = Harness.Runner.run_batch ~machine ~scale:tiny ~pool ~cache jobs in

@@ -1,9 +1,10 @@
 (* The stable public API façade (see the .mli and docs/API.md).
 
-   The compile path here is the former body of bin/mompc.ml's compile_one,
-   moved behind the façade so that the one-shot CLI, the persistent service
-   (mompd), and embedders all run the exact same code — byte-identical
-   output is a correctness property the test suite pins. *)
+   Every compile is one Harness.Attempt.run — the sequence the paper's
+   figures are measured with — rendered to buffers here, so the one-shot
+   CLI, the persistent service (mompd), and embedders all run the exact
+   same code — byte-identical output is a correctness property the test
+   suite pins. *)
 
 let api_version = 3
 let schema_version = Observe.Json.schema_version

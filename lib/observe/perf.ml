@@ -35,19 +35,16 @@ let sample f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0, Gc.minor_words () -. w0)
 
-let best_of n f =
-  let r, s0, _ = sample f in
-  let best = ref s0 in
-  for _ = 2 to n do
-    let _, s, _ = sample f in
-    best := Float.min !best s
-  done;
-  (r, !best)
+let best_of_2 f =
+  let r, a, _ = sample f in
+  let _, b, _ = sample f in
+  (r, Float.min a b)
 
 let record t ~stack f =
   (* failed phases still cost time; attribute it before re-raising *)
   let r, seconds, words =
-    sample (fun () -> match f () with v -> Ok v | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+    sample (fun () ->
+        match f () with v -> Ok v | exception e -> Error (e, Printexc.get_raw_backtrace ()))
   in
   add t { stack; seconds; words };
   match r with Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt

@@ -14,10 +14,10 @@ val sample : (unit -> 'a) -> 'a * float * float
     [Sys.time], which is CPU time summed over all domains.  A raising [f]
     propagates its exception unsampled. *)
 
-val best_of : int -> (unit -> 'a) -> 'a * float
-(** [best_of n f] runs [f] [n] times (at least once) and returns the first
-    run's result with the fastest run's wall seconds, so one scheduler
-    hiccup does not decide a timed comparison. *)
+val best_of_2 : (unit -> 'a) -> 'a * float
+(** [best_of_2 f] runs [f] twice and returns the first run's result with
+    the faster run's wall seconds, so one scheduler hiccup does not decide
+    a timed comparison. *)
 
 type t
 

@@ -105,7 +105,9 @@ let facade_sim_lines (c : Ompgpu_api.compiled) =
       Some (String.sub l (String.length prefix) (String.length l - String.length prefix))
     else None
   in
-  let cycles = List.find_map (fun l -> Option.map int_of_string (after "; kernel cycles: " l)) lines in
+  let cycles =
+    List.find_map (fun l -> Option.map int_of_string (after "; kernel cycles: " l)) lines
+  in
   let instrs =
     List.concat_map
       (fun l ->
@@ -126,13 +128,16 @@ let test_runner_agrees_with_facade () =
           let what = app.Proxyapps.App.name ^ "/" ^ config.Harness.Config.label in
           let m = Harness.Runner.run ~machine ~scale app config in
           let fconfig, src = facade_config app config in
-          let c = Ompgpu_api.compile_buffered ~config:fconfig ~file:(app.Proxyapps.App.name ^ ".c") src in
+          let file = app.Proxyapps.App.name ^ ".c" in
+          let c = Ompgpu_api.compile_buffered ~config:fconfig ~file src in
           match m.Harness.Runner.outcome with
-          | Harness.Runner.Err e -> Alcotest.failf "%s: runner failed: %s" what (Fault.Ompgpu_error.to_string e)
+          | Harness.Runner.Err e ->
+            Alcotest.failf "%s: runner failed: %s" what (Fault.Ompgpu_error.to_string e)
           | Harness.Runner.Ok x ->
             Alcotest.(check int) (what ^ ": façade exit code") 0 c.Ompgpu_api.exit_code;
             let cycles, instrs, trace = facade_sim_lines c in
-            Alcotest.(check (option int)) (what ^ ": kernel cycles") (Some x.Harness.Runner.cycles) cycles;
+            Alcotest.(check (option int))
+              (what ^ ": kernel cycles") (Some x.Harness.Runner.cycles) cycles;
             Alcotest.(check (list int))
               (what ^ ": per-launch instructions")
               (List.map (fun (s : Gpusim.Interp.launch_stats) -> s.Gpusim.Interp.instructions)
@@ -141,8 +146,12 @@ let test_runner_agrees_with_facade () =
               (List.rev instrs);
             (* the façade prints the value with %g: six significant digits *)
             let traced =
-              match Option.map (fun t -> List.filter (( <> ) "") (String.split_on_char ' ' t)) trace with
-              | Some [ v ] when String.length v > 2 -> Float.of_string_opt (String.sub v 2 (String.length v - 2))
+              match
+                Option.map (fun t -> List.filter (( <> ) "") (String.split_on_char ' ' t)) trace
+              with
+              | Some [ v ] when String.length v > 2 ->
+                (* "f:1.5" or "i:3" *)
+                Float.of_string_opt (String.sub v 2 (String.length v - 2))
               | _ -> None
             in
             match (x.Harness.Runner.checksum, traced) with
@@ -159,24 +168,28 @@ let test_runner_agrees_with_facade () =
 let test_runner_failure_phases () =
   let machine = Gpusim.Machine.bench_machine in
   let app = Proxyapps.Apps.find_exn "xsbench" in
-  let broken = { app with Proxyapps.App.name = "broken"; omp_source = (fun _ -> "int main( {") } in
+  let bad = "int main( {" in
+  let broken = { app with Proxyapps.App.name = "broken"; omp_source = (fun _ -> bad) } in
   let crash = Fault.Injector.{ site = Pass_crash; rate = 1.0; seed = 0 } in
+  let full = Ompgpu_api.Config.(with_pipeline Ompgpu_api.Pipeline.full default) in
   let cases =
     [
-      ("parse", broken, Harness.Config.dev0, Ompgpu_api.Config.(with_pipeline Ompgpu_api.Pipeline.full default), "int main( {");
+      ("parse", broken, Harness.Config.dev0, full, bad);
       ( "pass crash",
         app,
         Harness.Config.with_inject [ crash ] Harness.Config.dev0,
-        Ompgpu_api.Config.(with_inject [ crash ] (with_pipeline Ompgpu_api.Pipeline.full default)),
+        Ompgpu_api.Config.with_inject [ crash ] full,
         app.Proxyapps.App.omp_source scale );
     ]
   in
   List.iter
     (fun (what, app, config, fconfig, src) ->
-      let c = Ompgpu_api.compile_buffered ~config:fconfig ~file:(app.Proxyapps.App.name ^ ".c") src in
+      let file = app.Proxyapps.App.name ^ ".c" in
+      let c = Ompgpu_api.compile_buffered ~config:fconfig ~file src in
       let expected =
         match c.Ompgpu_api.error with
-        | Some e -> (Fault.Ompgpu_error.kind_name e.kind, Fault.Ompgpu_error.phase_name e.phase)
+        | Some e ->
+          (Fault.Ompgpu_error.kind_name e.kind, Fault.Ompgpu_error.phase_name e.phase)
         | None -> Alcotest.failf "%s: the façade did not fail" what
       in
       List.iter

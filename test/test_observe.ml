@@ -90,10 +90,10 @@ int main() {
 }
 |}
 
-let traced_run ?pipeline src =
+let traced_run src =
   let m = Helpers.compile src in
   let tr = T.create () in
-  let report = Openmpopt.Pass_manager.run_pipeline ?pipeline ~trace:tr m in
+  let report = Openmpopt.Pass_manager.run_pipeline ~trace:tr m in
   (m, report, T.events tr)
 
 let test_event_ordering () =

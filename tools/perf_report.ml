@@ -94,10 +94,10 @@ let () =
     outdir;
   (* timed comparison, uninstrumented: the numbers the gate reads *)
   let seq, seq_s =
-    Observe.Perf.best_of 2 (fun () -> Harness.Runner.run_batch ~machine ~scale jobs)
+    Observe.Perf.best_of_2 (fun () -> Harness.Runner.run_batch ~machine ~scale jobs)
   in
   let (par, pool_stats, active), par_s =
-    Observe.Perf.best_of 2 (fun () ->
+    Observe.Perf.best_of_2 (fun () ->
         Sched.Pool.with_pool ~domains (fun pool ->
             let cache : Harness.Runner.outcome Sched.Cache.t = Sched.Cache.create () in
             let r = Harness.Runner.run_batch ~machine ~scale ~pool ~cache jobs in
